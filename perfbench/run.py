@@ -106,21 +106,28 @@ def argv_for(req, workdir):
 
 
 class Pass:
-    """One pass over a workload's rounds, with or without tracing."""
+    """One pass over a workload's rounds, with or without tracing.
 
-    def __init__(self, workload, workdir, tracing=None):
-        self.w, self.workdir, self.tracing = workload, workdir, tracing
+    A probing pass samples the machine's speed in the workers and in this
+    process while they work (``calibrate.Probe``); the samples' own time is
+    taken out of every latency and of the wall time.
+    """
+
+    def __init__(self, workload, workdir, tracing=None, probe=False):
+        self.w, self.workdir, self.tracing, self.probe = workload, workdir, tracing, probe
         self.records = []   # (request id, command, latency s, status)
         self.failures = []  # {"id", "reason", "known"}
         self.maxrss_kb = 0
         self.spans = []     # (request number, packed spans)
         self.keyed = {}     # worker -> cumulative keyed counts
         self.seed_env = set()
+        self.probes = []    # speed samples, s
         self.wall = 0.0
         self.rounds = 0
 
     def run(self, rounds=None, seconds=None):
-        warm = worker.Worker(self.tracing) if self.w.warm else None
+        warm = worker.Worker(self.tracing, self.probe) if self.w.warm else None
+        own = calibrate.Probe().start() if self.probe else None
         start = time.perf_counter()
         try:
             while rounds is None or self.rounds < rounds:
@@ -130,21 +137,26 @@ class Pass:
                     self._one(req, warm)
                 self.rounds += 1
         finally:
+            if own is not None:
+                own.stop()
+                self.probes += own.take()
             if warm is not None:
                 self.maxrss_kb = max(self.maxrss_kb, warm.close())
-        self.wall = time.perf_counter() - start
+        self.wall = time.perf_counter() - start - sum(self.probes)
         return self
 
     def _one(self, req, warm):
         argv = argv_for(req, self.workdir)
         t0 = time.perf_counter()
         if warm is None:
-            latency, head, blob, maxrss = worker.cold_request(argv, self.tracing)
+            latency, head, blob, maxrss = worker.cold_request(argv, self.tracing, self.probe)
             self.keyed[len(self.records)] = head["keyed"]
         else:
             head, blob = warm.request(argv)
             latency, maxrss = time.perf_counter() - t0, head["maxrss_kb"]
             self.keyed["warm"] = head["keyed"]
+        latency -= sum(head["probes"])
+        self.probes += head["probes"]
         self.maxrss_kb = max(self.maxrss_kb, maxrss)
         self.seed_env.add(head["seed_env"])
         outcome = oracles.check(req["cmd"], req["expect"], head["code"],
@@ -182,6 +194,9 @@ def end_to_end(p, setup_cal, setup_raw):
     for _, cmd, latency, _ in p.records:
         per_cmd.setdefault(cmd, []).append(latency)
     value, pct, n = tail(lat)
+    if not p.probes:
+        sys.exit("perfbench: no speed samples were taken; the run was too short")
+    speed = calibrate.speed(p.probes)
     metrics = {"setup_s": (setup_cal, "s"), "raw_setup_s": (setup_raw, "s")}
     for cmd in ("validate", "invariants", "chow", "pi1", "bouquet", "downgrade"):
         if cmd in per_cmd:
@@ -189,14 +204,16 @@ def end_to_end(p, setup_cal, setup_raw):
     metrics.update({
         "request_median_s": (statistics.median(lat), "s"),
         "request_tail_s": (value, "s"),
-        "throughput_rps": (attempted / p.wall, "1/s"),
+        "throughput_rps": (attempted / (p.wall * speed), "1/s"),
+        "raw_throughput_rps": (attempted / p.wall, "1/s"),
         "fail_ratio": (len(p.failures) / attempted, "ratio"),
         "refused_ratio": (sum(r[3] == "refused" for r in p.records) / attempted, "ratio"),
         "peak_rss_mb": (p.maxrss_kb / 1024.0, "MB"),
     })
     extra = {"request_tail_percentile": pct, "request_tail_n": n,
              "samples": {cmd: len(v) for cmd, v in per_cmd.items()},
-             "requests": attempted, "rounds": p.rounds, "wall_s": p.wall}
+             "requests": attempted, "rounds": p.rounds, "wall_s": p.wall,
+             "speed": speed, "speed_samples": len(p.probes)}
     return metrics, extra
 
 
@@ -305,7 +322,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=("quadric", "toric-stream", "session"))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -318,7 +335,7 @@ def main(argv=None):
     os.environ["TVARTOP_SEED"] = SHELLING_SEED
     setup_cal, setup_raw, setup_samples = measure_setup(args.workload, args.seed)
     make = workloads.WORKLOADS[args.workload]
-    workload = make(traced=bool(args.trace))
+    workload = make()
     docs = workload.documents(args.seed)
     selfcheck = {"documents_repeat": {"ok": docs == make().documents(args.seed)}}
     workdir = OUT / f"work-{os.getpid()}"
@@ -327,7 +344,7 @@ def main(argv=None):
     try:
         _write_documents(docs, workdir)
         if args.trace == 0:
-            main_pass = Pass(workload, workdir).run(seconds=args.seconds)
+            main_pass = Pass(workload, workdir, probe=True).run(seconds=args.seconds)
             passes = [main_pass]
             metrics, extra = end_to_end(main_pass, setup_cal, setup_raw)
             result["end_to_end"] = extra
@@ -409,6 +426,8 @@ def _print_report(result):
         e = result["end_to_end"]
         print(f"# request_tail_s at p{e['request_tail_percentile']:.1f} of n={e['request_tail_n']}; "
               f"samples per command {e['samples']}; {e['rounds']} rounds in {e['wall_s']:.2f} s")
+        print(f"# speed {e['speed']:.4f} of nominal over {e['speed_samples']} samples; "
+              f"throughput_rps is raw_throughput_rps / speed")
     if "tracing_overhead" in result:
         o = result["tracing_overhead"]
         print(f"# tracing overhead {o['per_request_s'] * 1000:.3f} ms per request "

@@ -5,7 +5,9 @@ tvartop and never calls into it, so a fresh worker starts with cold module
 caches, as a CLI user does.  The parent writes one JSON request line to the
 worker's stdin pipe and reads back one JSON response line, followed by the
 packed spans when the worker traces.  A cold worker serves one request and
-exits; a warm worker serves requests until its stdin is closed.
+exits; a warm worker serves requests until its stdin is closed.  A probing
+worker samples the machine's speed while it works (``calibrate.Probe``) and
+returns the samples of each request with its answer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import resource
 import sys
 import time
 import traceback
+
+import calibrate
 
 
 def _execute(cli, argv):
@@ -36,15 +40,17 @@ def _execute(cli, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _serve(rfd, wfd, tracer):
+def _serve(rfd, wfd, tracer, probe):
     from tvartop import cli
 
     reader = os.fdopen(rfd, "rb")
     writer = os.fdopen(wfd, "wb")
+    probe = calibrate.Probe().start() if probe else None
     for line in reader:
         argv = json.loads(line)
         code, stdout, stderr = _execute(cli, argv)
         blob = tracer.take() if tracer else b""
+        probes = probe.take() if probe else []
         head = {
             "code": code,
             "stdout": stdout,
@@ -53,6 +59,7 @@ def _serve(rfd, wfd, tracer):
             "seed_env": os.environ.get("TVARTOP_SEED"),
             "span_bytes": len(blob),
             "keyed": tracer.keyed_counts() if tracer else {},
+            "probes": probes,
         }
         writer.write(json.dumps(head).encode("utf-8") + b"\n" + blob)
         writer.flush()
@@ -61,7 +68,7 @@ def _serve(rfd, wfd, tracer):
 class Worker:
     """One forked worker process and the pipes to it."""
 
-    def __init__(self, tracer=None):
+    def __init__(self, tracer=None, probe=False):
         req_r, req_w = os.pipe()
         resp_r, resp_w = os.pipe()
         sys.stdout.flush()
@@ -72,7 +79,7 @@ class Worker:
             try:
                 os.close(req_w)
                 os.close(resp_r)
-                _serve(req_r, resp_w, tracer)
+                _serve(req_r, resp_w, tracer, probe)
             except BaseException:
                 traceback.print_exc()
                 status = 70
@@ -108,10 +115,10 @@ class Worker:
         return self.maxrss_kb
 
 
-def cold_request(argv, tracer=None):
+def cold_request(argv, tracer=None, probe=False):
     """Fork a fresh worker for one request; latency covers fork to exit."""
     start = time.perf_counter()
-    w = Worker(tracer)
+    w = Worker(tracer, probe)
     head, blob = w.request(argv)
     maxrss = w.close()
     return time.perf_counter() - start, head, blob, maxrss

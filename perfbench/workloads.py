@@ -42,9 +42,6 @@ class Quadric:
     warm = False
     trace_rounds = 1
 
-    def __init__(self, traced=False):
-        pass
-
     def documents(self, seed):
         return {"quadric.json": (FIXTURES / "fix_quadric.json").read_bytes()}
 
@@ -62,16 +59,19 @@ class ToricStream:
 
     Each fan gets bouquet and downgrade on its complex document, then the
     four fan commands on the fan document that downgrade printed.  A round
-    is a batch of fans, so that one run's medians span several inputs.
+    is four fans, two from each start fan: the fans' costs differ by up to a factor
+    of two (P^3-based ones cost a quarter less), so one run's throughput
+    needs several of each, and a round longer than the gate's run length
+    makes every run hold the same mix whatever the machine's speed.
     """
 
     name = "toric-stream"
     warm = False
     trace_rounds = 1
     pool = 48
+    fans_per_round = 4
 
-    def __init__(self, traced=False):
-        self.fans_per_round = 2 if traced else 4
+    def __init__(self):
         self._h = {}
 
     def documents(self, seed):
@@ -134,7 +134,7 @@ class Session:
     warm = True
     trace_rounds = 3
 
-    def __init__(self, traced=False):
+    def __init__(self):
         self._seed = 0
         self._requests = self._plan()
 
