@@ -259,14 +259,20 @@ def _quotient(pres: ChowPresentation, d: int):
 
 
 def hilbert_function(s_or_pres, dmax: int):
-    """Dimensions of the graded pieces of the quotient ring, degrees 0..dmax."""
+    """Dimensions of the graded pieces of the quotient ring, degrees 0..dmax.
+
+    The ring is generated in degree 1, so R_d = 0 forces R_{d+1} = 0: the
+    degrees above the first zero one are not eliminated.
+    """
     pres = s_or_pres if isinstance(s_or_pres, ChowPresentation) else presentation(s_or_pres)
     _check_budget(pres, dmax)
     out = []
     for d in range(dmax + 1):
         monos, rref_, basis = _quotient(pres, d)
         out.append(len(basis))
-    return tuple(out)
+        if not basis:
+            break
+    return tuple(out) + (0,) * (dmax + 1 - len(out))
 
 
 def product_in_quotient(s_or_pres, monomials):

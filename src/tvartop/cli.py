@@ -66,6 +66,14 @@ def _rat_vec(v, n, what):
     return tuple(_rat(x) for x in v)
 
 
+def _field(obj, key, kind, default, what):
+    """obj[key] (default when absent), which must be of type ``kind``."""
+    v = obj.get(key, default)
+    if not isinstance(v, kind):
+        raise ParseError(f"{what} must be {'a list' if kind is list else 'an object'}")
+    return v
+
+
 def parse_fan_document(doc):
     """FanDocument -> (DivisorialFan, flags dict)."""
     if not isinstance(doc, dict):
@@ -75,7 +83,7 @@ def parse_fan_document(doc):
     n = doc.get("lattice_rank")
     if not isinstance(n, int) or n < 1:
         raise ParseError("lattice_rank must be a positive integer")
-    curve = doc.get("curve", {})
+    curve = _field(doc, "curve", dict, {}, "curve")
     genus = curve.get("genus", 0)
     points = curve.get("points", [])
     if not isinstance(genus, int) or genus < 0:
@@ -87,16 +95,15 @@ def parse_fan_document(doc):
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     members = []
-    for i, pd in enumerate(doc.get("pdivisors", [])):
+    for i, pd in enumerate(_field(doc, "pdivisors", list, [], "pdivisors")):
         if not isinstance(pd, dict):
             raise ParseError(f"pdivisors[{i}] must be an object")
-        tail_rays = pd.get("tail", [])
-        if not isinstance(tail_rays, list):
-            raise ParseError(f"pdivisors[{i}].tail must be a list of rays")
+        tail_rays = _field(pd, "tail", list, [], f"pdivisors[{i}].tail")
         tail = Cone.from_generators(n, [_int_vec(r, n, f"pdivisors[{i}] tail ray")
                                         for r in tail_rays])
         coeffs = {}
-        for label, body in pd.get("coefficients", {}).items():
+        coefficients = _field(pd, "coefficients", dict, {}, f"pdivisors[{i}].coefficients")
+        for label, body in coefficients.items():
             if label not in points:
                 raise ParseError(f"pdivisors[{i}] uses unknown point {label!r}")
             if body == "empty":
@@ -104,10 +111,12 @@ def parse_fan_document(doc):
                 continue
             if not isinstance(body, dict):
                 raise ParseError(f"pdivisors[{i}] coefficient at {label!r} malformed")
-            verts = [_rat_vec(v, n, "vertex") for v in body.get("vertices", [])]
-            rays = [_int_vec(r, n, "ray") for r in body.get("rays", [])]
+            what = f"pdivisors[{i}] coefficient at {label!r}"
+            verts = [_rat_vec(v, n, "vertex")
+                     for v in _field(body, "vertices", list, [], f"{what} vertices")]
+            rays = [_int_vec(r, n, "ray") for r in _field(body, "rays", list, [], f"{what} rays")]
             if not verts:
-                raise ParseError(f"pdivisors[{i}] coefficient at {label!r} has no vertices")
+                raise ParseError(f"{what} has no vertices")
             coeffs[label] = Polyhedron.from_points_rays(n, verts, rays)
         try:
             members.append(divfan.PDivisor(tail, coeffs))
@@ -158,11 +167,12 @@ def parse_complex_document(doc):
     if not isinstance(n, int) or n < 1:
         raise ParseError("ambient_rank must be a positive integer")
     cells = []
-    for i, body in enumerate(doc.get("cells", [])):
+    for i, body in enumerate(_field(doc, "cells", list, [], "cells")):
         if not isinstance(body, dict):
             raise ParseError(f"cells[{i}] must be an object")
-        verts = [_rat_vec(v, n, "vertex") for v in body.get("vertices", [])]
-        rays = [_int_vec(r, n, "ray") for r in body.get("rays", [])]
+        verts = [_rat_vec(v, n, "vertex")
+                 for v in _field(body, "vertices", list, [], f"cells[{i}].vertices")]
+        rays = [_int_vec(r, n, "ray") for r in _field(body, "rays", list, [], f"cells[{i}].rays")]
         if not verts:
             verts = [tuple(Fraction(0) for _ in range(n))]
         cells.append(Polyhedron.from_points_rays(n, verts, rays))

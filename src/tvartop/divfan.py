@@ -16,6 +16,7 @@ from .errors import (
     EmptyCoefficient,
     FanInvalid,
     GenusNotZero,
+    NotApplicable,
     NotComplete,
     NotInDualCone,
     PointNotCovered,
@@ -419,6 +420,8 @@ def toric_downgrade(f: PolyhedralComplex) -> DivisorialFan:
     """
     from .complexes import is_complete
 
+    if f.ambient_rank < 2:
+        raise NotApplicable("toric downgrade needs a fan of rank at least 2")
     if not is_complete(f):
         raise NotComplete("toric downgrade needs a complete fan")
     n1 = f.ambient_rank
@@ -435,8 +438,8 @@ def toric_downgrade(f: PolyhedralComplex) -> DivisorialFan:
         tail = Cone(n, tail_rays, ())
         coeffs = {}
         for label, h in (("0", 1), ("inf", -1)):
-            heqs = [(Fraction(h) * e[n],) + tuple(Fraction(x) for x in e[:n]) for e in eqs]
-            hineqs = [(Fraction(h) * a[n],) + tuple(Fraction(x) for x in a[:n]) for a in ineqs]
+            heqs = [(h * e[n],) + e[:n] for e in eqs]
+            hineqs = [(h * a[n],) + a[:n] for a in ineqs]
             coeffs[label] = Polyhedron._from_hrep_data(n, heqs, hineqs)
         d = PDivisor(tail, coeffs)
         members[d.key] = d

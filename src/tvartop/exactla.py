@@ -119,6 +119,57 @@ def rank_and_kernel(m, pivot: str = "bits"):
     return rank, basis
 
 
+def int_rref(rows):
+    """Fraction-free reduced row echelon form of an integer matrix.
+
+    Returns (rows, pivot columns) like ``rref``, but each row is the
+    primitive integer multiple of the RREF row with a positive pivot; zero
+    rows are dropped.  A row is eliminated against the pivot row by
+    cross-multiplying with the two entries divided by their gcd, then divided
+    by its content, so every entry stays a small integer.
+    """
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return [], []
+    nrows = len(mat)
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        best = None
+        for i in range(r, nrows):
+            x = mat[i][c]
+            if x and (best is None or abs(x) < abs(mat[best][c])):
+                best = i
+        if best is None:
+            continue
+        mat[r], mat[best] = mat[best], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(nrows):
+            row = mat[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a < 0:
+                a, b = -a, -b
+            new = [a * x - b * y for x, y in zip(row, prow)]
+            g = gcd(*new)
+            mat[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for row, c in zip(mat, pivots):
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        out.append(tuple(x // g for x in row))
+    return out, pivots
+
+
 def solve(rows, rhs):
     """One solution of ``rows @ x = rhs`` or None if inconsistent."""
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]

@@ -5,20 +5,26 @@ distinguished per-rank value.  Construction canonicalizes through one
 V -> H -> V round trip (dual ray enumeration both ways), so equality of
 point sets is equality of the stored data.  All arithmetic is exact.
 
-Scale expectations: ambient rank <= 4-ish, a handful of generators per
-object.  Ray enumeration is the textbook subset-kernel method, quadratic
-pivoting and all; nothing here is meant for large instances.
+The kernel works on primitive integer rows only: ray enumeration scales
+every input row to a primitive integer vector and takes kernels, ranks and
+the projection off the lineality space by fraction-free elimination
+(``exactla.int_rref``); membership and tightness tests dot the integer
+H-rows against integer homogenized generators.  Extreme rays are found by
+the subset-kernel search (each extreme ray of a pointed cone in Q^d spans
+the kernel of d-1 independent rows it makes tight), which suits the sizes
+met here: ambient rank <= 4-ish, a dozen rows at most.  Vertices are
+stored as ``Fraction`` tuples, rays and H-rows as int tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import EmptyInput, RankMismatch
-from .exactla import rank_and_kernel, rref
+from .exactla import int_rref
 
 Vec = tuple
 
@@ -31,6 +37,10 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 def vsub(u, v) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -39,143 +49,157 @@ def vadd(u, v) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vneg(u) -> Vec:
-    return tuple(-a for a in u)
-
-
 def is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
 
 def mu(v) -> int:
     """Least positive integer m with m*v integral (lcm of denominators)."""
-    return reduce(lcm, (Fraction(x).denominator for x in v), 1)
+    return lcm(*(Fraction(x).denominator for x in v))
+
+
+def _scaled(v) -> Vec:
+    """The integer vector m*v for the least positive integer m making it one."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    w = [Fraction(x) for x in v]
+    m = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (m // x.denominator) for x in w)
+
+
+def _homogenized(v) -> Vec:
+    """(m, m*v) for the least positive integer m making it integral."""
+    return _scaled((1,) + tuple(v))
 
 
 def primitive(v) -> Vec:
     """Scale a nonzero rational vector to a primitive integer vector."""
-    w = [Fraction(x) for x in v]
-    m = reduce(lcm, (x.denominator for x in w), 1)
-    ints = [int(x * m) for x in w]
-    g = reduce(gcd, (abs(x) for x in ints), 0)
+    ints = _scaled(v)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
 
 
-def _kernel_basis(rows, dim):
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    _, basis = rank_and_kernel(rows)
-    return basis
+def _int_rows(rows):
+    """Distinct primitive integer forms of the nonzero rows, in order."""
+    return list(dict.fromkeys(primitive(row) for row in rows if any(row)))
 
 
 def _rank(rows) -> int:
-    if not rows:
-        return 0
-    r, _ = rank_and_kernel(rows)
-    return r
+    return len(int_rref(rows)[1])
 
 
-def _canonical_subspace_basis(vectors, dim):
-    """Primitive integer RREF basis of span(vectors); canonical per subspace."""
-    if not vectors:
-        return ()
-    red, pivots = rref(vectors)
-    return tuple(primitive(red[i]) for i in range(len(pivots)))
+def _int_kernel(rows, dim):
+    """(pivot columns, kernel basis) of an integer matrix with ``dim`` columns.
 
-
-def _project_off(v, basis):
-    """v minus its orthogonal projection onto span(basis)."""
-    out = list(v)
-    ortho = []
-    for b in basis:
-        w = list(b)
-        for o in ortho:
-            c = dot(w, o) / dot(o, o)
-            w = [x - c * y for x, y in zip(w, o)]
-        if not is_zero(w):
-            ortho.append(w)
-    for o in ortho:
-        c = dot(out, o) / dot(o, o)
-        out = [x - c * y for x, y in zip(out, o)]
-    return tuple(out)
+    One primitive basis vector per free column f, positive at f and zero at
+    the other free columns, so the free columns' unit vectors span a
+    complement of the kernel.
+    """
+    red, piv = int_rref(rows)
+    basis = []
+    for f in range(dim):
+        if f in piv:
+            continue
+        hits = [(row[f], row[pc], pc) for row, pc in zip(red, piv) if row[f]]
+        m = lcm(*(p for _, p, _ in hits))
+        v = [0] * dim
+        v[f] = m
+        for a, p, pc in hits:
+            v[pc] = -a * (m // p)
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return piv, basis
 
 
 def _pointed_rays(mat, d):
-    """Extreme rays of the pointed cone {x in Q^d : mat @ x >= 0}."""
+    """Extreme rays of the pointed cone {x in Q^d : mat @ x >= 0}.
+
+    ``mat`` holds primitive integer rows.  Every extreme ray spans the kernel
+    of some d-1 independent rows; such a kernel line is a ray when one of its
+    directions satisfies every row.
+    """
     if d == 0:
         return []
     if d == 1:
         if all(row[0] >= 0 for row in mat):
-            return [(Fraction(1),)]
+            return [(1,)]
         if all(row[0] <= 0 for row in mat):
-            return [(Fraction(-1),)]
+            return [(-1,)]
         return []
-    found = {}
-    m = len(mat)
-    for sub in combinations(range(m), d - 1):
-        rows = [mat[i] for i in sub]
-        r, ker = rank_and_kernel(rows)
-        if r != d - 1:
+    found = set()
+    for sub in combinations(mat, d - 1):
+        piv, ker = _int_kernel(sub, d)
+        if len(piv) != d - 1:
             continue
         u = ker[0]
-        vals = [dot(row, u) for row in mat]
-        if all(x >= 0 for x in vals):
-            pass
-        elif all(x <= 0 for x in vals):
-            u = vneg(u)
-            vals = [-x for x in vals]
-        else:
-            continue
-        tight = [mat[i] for i, x in enumerate(vals) if x == 0]
-        if _rank(tight) != d - 1:
-            continue
-        found[primitive(u)] = None
-    return [qvec(r) for r in found]
+        vals = [_idot(row, u) for row in mat]
+        if min(vals) >= 0:
+            found.add(u)
+        elif max(vals) <= 0:
+            found.add(tuple(-x for x in u))
+    return list(found)
+
+
+def _project_off(v, ortho):
+    """A positive multiple of v minus its orthogonal projection onto
+    span(ortho); ``ortho`` is a list of pairwise orthogonal integer vectors."""
+    for o in ortho:
+        c = _idot(v, o)
+        if c:
+            n = _idot(o, o)
+            v = [n * x - c * y for x, y in zip(v, o)]
+    return v
 
 
 def rays_of_hcone(ineqs, eqs, dim):
     """Generators of {x : <a,x> >= 0 for a in ineqs, <e,x> = 0 for e in eqs}.
 
-    Returns (lineality basis, rays), both canonical primitive integer tuples;
-    rays are the extreme rays of the cone projected orthogonally off the
-    lineality space.
+    Returns (lineality basis, rays), both canonical primitive integer tuples:
+    the lineality basis is the primitive form of the RREF basis of the
+    lineality space, and the rays are the sorted extreme rays of the cone
+    projected orthogonally off the lineality space.
     """
-    w_basis = _kernel_basis(list(eqs), dim)
-    if not w_basis:
-        return (), ()
-    w = len(w_basis)
-    mat = [[dot(a, wj) for wj in w_basis] for a in ineqs]
-    lin_y = _kernel_basis([r for r in mat if not is_zero(r)], w) if mat else \
-        [tuple(Fraction(int(i == j)) for j in range(w)) for i in range(w)]
-    # complement of the lineality inside the y-space
-    if lin_y:
-        _, piv = rref(lin_y)
-        comp_idx = [j for j in range(w) if j not in piv]
+    ineqs = _int_rows(ineqs)
+    eqs = _int_rows(eqs)
+    if eqs:
+        _, w_basis = _int_kernel(eqs, dim)
+        if not w_basis:
+            return (), ()
+        mat = _int_rows([[_idot(a, wj) for wj in w_basis] for a in ineqs])
+        w = len(w_basis)
     else:
-        comp_idx = list(range(w))
-    comp = [tuple(Fraction(int(j == c)) for j in range(w)) for c in comp_idx]
-    proj_rows = [[row[c] for c in comp_idx] for row in mat]
-    rays_c = _pointed_rays(proj_rows, len(comp_idx))
+        w_basis = None
+        mat = ineqs
+        w = dim
+    if w == 0:
+        return (), ()
+    if mat:
+        piv, lin_y = _int_kernel(mat, w)
+    else:
+        piv, lin_y = [], [tuple(int(i == j) for j in range(w)) for i in range(w)]
+    # the pivot columns' unit vectors span a complement of the lineality
+    rays_c = _pointed_rays([tuple(row[c] for c in piv) for row in mat], len(piv))
 
     def to_ambient(y):
-        out = [Fraction(0)] * dim
-        for coef, wv in zip(y, w_basis):
-            out = [o + coef * x for o, x in zip(out, wv)]
-        return tuple(out)
+        if w_basis is None:
+            return y
+        return [_idot(col, y) for col in zip(*w_basis)]
 
-    lin_amb = _canonical_subspace_basis([to_ambient(y) for y in lin_y], dim)
-    rays_amb = []
+    lin_amb, _ = int_rref([to_ambient(y) for y in lin_y])
+    ortho = []
+    for b in lin_amb:
+        b = _project_off(b, ortho)
+        g = gcd(*b)
+        ortho.append([x // g for x in b])
+    rays_amb = set()
     for rc in rays_c:
-        y = [Fraction(0)] * w
-        for coef, c in zip(rc, comp_idx):
+        y = [0] * w
+        for coef, c in zip(rc, piv):
             y[c] = coef
-        r = to_ambient(y)
-        if lin_amb:
-            r = _project_off(r, lin_amb)
-        rays_amb.append(primitive(r))
-    return lin_amb, tuple(sorted(set(rays_amb)))
+        rays_amb.add(primitive(_project_off(to_ambient(y), ortho)))
+    return tuple(lin_amb), tuple(sorted(rays_amb))
 
 
 class Cone:
@@ -197,8 +221,7 @@ class Cone:
 
     @classmethod
     def from_generators(cls, ambient_rank, generators) -> "Cone":
-        gens = [qvec(g) for g in generators]
-        dlin, drays = rays_of_hcone(gens, [], ambient_rank)
+        dlin, drays = rays_of_hcone(generators, [], ambient_rank)
         plin, prays = rays_of_hcone(drays, dlin, ambient_rank)
         cone = cls(ambient_rank, prays, plin)
         cone._dual = (dlin, drays)
@@ -227,7 +250,7 @@ class Cone:
     def hrep(self):
         """(equalities, inequalities): x in cone iff <e,x>=0 and <a,x>>=0."""
         if self._dual is None:
-            self._dual = rays_of_hcone([qvec(g) for g in self.rays], [], self.ambient_rank)
+            self._dual = rays_of_hcone(self.rays, [], self.ambient_rank)
         return self._dual
 
     def dual(self) -> "Cone":
@@ -239,14 +262,14 @@ class Cone:
 
     def contains(self, v) -> bool:
         eqs, ineqs = self.hrep()
-        v = qvec(v)
-        return all(dot(e, v) == 0 for e in eqs) and all(dot(a, v) >= 0 for a in ineqs)
+        v = _scaled(v)
+        return all(_idot(e, v) == 0 for e in eqs) and all(_idot(a, v) >= 0 for a in ineqs)
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(r) for r in other.rays)
 
     def as_polyhedron(self) -> "Polyhedron":
-        return Polyhedron._from_canonical(
+        return Polyhedron(
             self.ambient_rank, (tuple(Fraction(0) for _ in range(self.ambient_rank)),), self
         )
 
@@ -258,10 +281,6 @@ class Cone:
 
     def __repr__(self):
         return f"Cone({self.ambient_rank}, rays={[tuple(map(int, r)) for r in self.rays]})"
-
-
-def cone_from_rays(ambient_rank, rays) -> "Cone":
-    return Cone.from_generators(ambient_rank, rays)
 
 
 class FaceDescriptor:
@@ -292,7 +311,8 @@ class Polyhedron:
     complement of the lineality space.
     """
 
-    __slots__ = ("ambient_rank", "vertices", "tail", "is_empty", "_hrep", "_faces", "key")
+    __slots__ = ("ambient_rank", "vertices", "tail", "is_empty", "_hrep", "_hgens", "_faces",
+                 "key")
 
     def __init__(self, ambient_rank, vertices, tail, is_empty=False, _hrep=None):
         self.ambient_rank = ambient_rank
@@ -300,6 +320,7 @@ class Polyhedron:
         self.tail = tail
         self.is_empty = is_empty
         self._hrep = _hrep
+        self._hgens = None
         self._faces = None
         self.key = (ambient_rank, self.vertices, tail.key if tail is not None else None, is_empty)
 
@@ -308,24 +329,20 @@ class Polyhedron:
         return cls(ambient_rank, (), Cone(ambient_rank, (), ()), is_empty=True)
 
     @classmethod
-    def _from_canonical(cls, ambient_rank, vertices, tail) -> "Polyhedron":
-        return cls(ambient_rank, vertices, tail)
-
-    @classmethod
     def from_points_rays(cls, ambient_rank, points, rays) -> "Polyhedron":
         pts = [qvec(p) for p in points]
         if not pts:
             raise ValueError("a nonempty polyhedron needs at least one point; use Polyhedron.empty")
         if any(len(p) != ambient_rank for p in pts) or any(len(r) != ambient_rank for r in rays):
             raise RankMismatch("generator length does not match ambient rank")
-        gens = [(Fraction(1),) + p for p in pts] + [(Fraction(0),) + qvec(r) for r in rays]
+        gens = [_homogenized(p) for p in pts] + [(0,) + tuple(r) for r in rays]
         heqs, hineqs = rays_of_hcone(gens, [], ambient_rank + 1)
         return cls._from_hrep_data(ambient_rank, heqs, hineqs)
 
     @classmethod
     def _from_hrep_data(cls, ambient_rank, heqs, hineqs):
         # t >= 0 is implicit in dual-derived H-reps but not in synthesized ones
-        t_row = (Fraction(1),) + tuple(Fraction(0) for _ in range(ambient_rank))
+        t_row = (1,) + (0,) * ambient_rank
         hineqs = list(hineqs) + [t_row]
         lin, gens = rays_of_hcone(hineqs, heqs, ambient_rank + 1)
         verts = []
@@ -346,8 +363,7 @@ class Polyhedron:
             lin_gens.append(l[1:])
         if not verts:
             return cls.empty(ambient_rank)
-        tail = Cone(ambient_rank, tuple(sorted(ray_gens)),
-                    _canonical_subspace_basis([qvec(l) for l in lin_gens], ambient_rank))
+        tail = Cone(ambient_rank, tuple(sorted(ray_gens)), int_rref(lin_gens)[0])
         p = cls(ambient_rank, verts, tail)
         p._hrep = (heqs, hineqs)
         return p
@@ -355,10 +371,17 @@ class Polyhedron:
     def hrep(self):
         """Homogeneous H-rep: rows (a, u) with a + <u, x> >= 0 (or = 0)."""
         if self._hrep is None:
-            gens = [(Fraction(1),) + v for v in self.vertices]
-            gens += [(Fraction(0),) + qvec(r) for r in self.tail.rays]
-            self._hrep = rays_of_hcone(gens, [], self.ambient_rank + 1)
+            vgens, rgens = self.hgens()
+            self._hrep = rays_of_hcone(vgens + rgens, [], self.ambient_rank + 1)
         return self._hrep
+
+    def hgens(self):
+        """(vertex generators, ray generators) of the homogenization cone, as
+        integer vectors (m, m*v) and (0, r), one per vertex and per ray."""
+        if self._hgens is None:
+            self._hgens = ([_homogenized(v) for v in self.vertices],
+                           [(0,) + r for r in self.tail.rays])
+        return self._hgens
 
     @property
     def rays(self):
@@ -367,32 +390,27 @@ class Polyhedron:
     def dim(self) -> int:
         if self.is_empty:
             return -1
-        v0 = self.vertices[0]
-        vecs = [vsub(v, v0) for v in self.vertices[1:]] + [qvec(r) for r in self.tail.rays]
-        return _rank([v for v in vecs if not is_zero(v)])
+        vgens, rgens = self.hgens()
+        return _rank(vgens + rgens) - 1
 
     def contains(self, x) -> bool:
         if self.is_empty:
             return False
+        return self._satisfied_by([_homogenized(x)])
+
+    def _satisfied_by(self, gens) -> bool:
+        """True iff every integer homogenized generator satisfies the H-rep."""
         eqs, ineqs = self.hrep()
-        hx = (Fraction(1),) + qvec(x)
-        return all(dot(e, hx) == 0 for e in eqs) and all(dot(a, hx) >= 0 for a in ineqs)
+        return all(_idot(e, g) == 0 for g in gens for e in eqs) and \
+            all(_idot(a, g) >= 0 for g in gens for a in ineqs)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         if other.is_empty:
             return True
         if self.is_empty:
             return False
-        eqs, ineqs = self.hrep()
-        for v in other.vertices:
-            hv = (Fraction(1),) + v
-            if any(dot(e, hv) != 0 for e in eqs) or any(dot(a, hv) < 0 for a in ineqs):
-                return False
-        for r in other.tail.rays:
-            hr = (Fraction(0),) + qvec(r)
-            if any(dot(e, hr) != 0 for e in eqs) or any(dot(a, hr) < 0 for a in ineqs):
-                return False
-        return True
+        vgens, rgens = other.hgens()
+        return self._satisfied_by(vgens + rgens)
 
     def is_cone_at_origin(self) -> bool:
         zero = tuple(Fraction(0) for _ in range(self.ambient_rank))
@@ -406,15 +424,14 @@ class Polyhedron:
             raise ValueError("face enumeration requires a pointed recession cone")
         if self._faces is not None:
             return self._faces
-        eqs, ineqs = self.hrep()
-        nv, nr = len(self.vertices), len(self.tail.rays)
+        _, ineqs = self.hrep()
+        vgens, rgens = self.hgens()
+        nv, nr = len(vgens), len(rgens)
         tightv = []
         tightr = []
         for a in ineqs:
-            tightv.append(frozenset(
-                i for i, v in enumerate(self.vertices) if dot(a, (Fraction(1),) + v) == 0))
-            tightr.append(frozenset(
-                j for j, r in enumerate(self.tail.rays) if dot(a, (Fraction(0),) + qvec(r)) == 0))
+            tightv.append(frozenset(i for i, g in enumerate(vgens) if _idot(a, g) == 0))
+            tightr.append(frozenset(j for j, g in enumerate(rgens) if _idot(a, g) == 0))
         full = (frozenset(range(nv)), frozenset(range(nr)))
         seen = {full}
         queue = [full]
@@ -429,10 +446,7 @@ class Polyhedron:
                     queue.append((nvs, nrs))
         out = []
         for vs, rs in seen:
-            pts = [self.vertices[i] for i in vs]
-            vecs = [vsub(p, pts[0]) for p in pts[1:]]
-            vecs += [qvec(self.tail.rays[j]) for j in rs]
-            d = _rank([v for v in vecs if not is_zero(v)])
+            d = _rank([vgens[i] for i in vs] + [rgens[j] for j in rs]) - 1
             out.append(FaceDescriptor(vs, rs, d))
         out.sort(key=lambda f: (f.dim, f.vertex_subset, f.ray_subset))
         self._faces = out
@@ -441,9 +455,7 @@ class Polyhedron:
     def face_polyhedron(self, desc: FaceDescriptor) -> "Polyhedron":
         verts = tuple(self.vertices[i] for i in desc.vertex_subset)
         rays = tuple(self.tail.rays[j] for j in desc.ray_subset)
-        return Polyhedron._from_canonical(
-            self.ambient_rank, verts, Cone(self.ambient_rank, rays, ())
-        )
+        return Polyhedron(self.ambient_rank, verts, Cone(self.ambient_rank, rays, ()))
 
     def face_polyhedra(self):
         return [self.face_polyhedron(f) for f in self.faces()]
@@ -498,11 +510,8 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
         return hit
     peq, pin = p.hrep()
     qeq, qin = q.hrep()
-    gens = [(Fraction(1),) + v for v in p.vertices] + \
-           [(Fraction(0),) + qvec(r) for r in p.tail.rays]
-    inside = all(dot(e, g) == 0 for e in qeq for g in gens) and \
-        all(dot(a, g) >= 0 for a in qin for g in gens)
-    if inside:
+    vgens, rgens = p.hgens()
+    if q._satisfied_by(vgens + rgens):
         out = p
     else:
         lin, rays = rays_of_hcone(list(pin) + list(qin), list(peq) + list(qeq),
@@ -537,15 +546,13 @@ def is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
         return False
     if not p.contains_polyhedron(f):
         return False
-    eqs, ineqs = p.hrep()
-    fgens_v = [(Fraction(1),) + v for v in f.vertices]
-    fgens_r = [(Fraction(0),) + qvec(r) for r in f.tail.rays]
-    tight = [a for a in ineqs
-             if all(dot(a, g) == 0 for g in fgens_v) and all(dot(a, g) == 0 for g in fgens_r)]
-    verts = tuple(v for v in p.vertices
-                  if all(dot(a, (Fraction(1),) + v) == 0 for a in tight))
-    rays = tuple(r for r in p.tail.rays
-                 if all(dot(a, (Fraction(0),) + qvec(r)) == 0 for a in tight))
+    _, ineqs = p.hrep()
+    fv, fr = f.hgens()
+    fgens = fv + fr
+    tight = [a for a in ineqs if all(_idot(a, g) == 0 for g in fgens)]
+    pv, pr = p.hgens()
+    verts = tuple(v for v, g in zip(p.vertices, pv) if all(_idot(a, g) == 0 for a in tight))
+    rays = tuple(r for r, g in zip(p.tail.rays, pr) if all(_idot(a, g) == 0 for a in tight))
     return sorted(verts) == list(f.vertices) and sorted(rays) == list(f.tail.rays)
 
 

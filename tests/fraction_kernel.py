@@ -1,0 +1,143 @@
+"""The Fraction subset-kernel ray enumerator, kept as a brute-force oracle.
+
+This is the polyhedral kernel the library used before its integer rewrite:
+every step (kernels, ranks, the lineality split, the orthogonal projection
+off the lineality space) runs over ``fractions.Fraction``.  The differential
+test checks that ``tvartop.polyhedron.rays_of_hcone`` returns the same
+canonical (lineality, rays) pair.
+"""
+
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from math import gcd, lcm
+
+from tvartop.exactla import rank_and_kernel, rref
+
+
+def qvec(xs):
+    return tuple(Fraction(x) for x in xs)
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def is_zero(u):
+    return all(a == 0 for a in u)
+
+
+def primitive(v):
+    w = [Fraction(x) for x in v]
+    m = reduce(lcm, (x.denominator for x in w), 1)
+    ints = [int(x * m) for x in w]
+    g = reduce(gcd, (abs(x) for x in ints), 0)
+    return tuple(x // g for x in ints)
+
+
+def _kernel_basis(rows, dim):
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    _, basis = rank_and_kernel(rows)
+    return basis
+
+
+def _rank(rows):
+    if not rows:
+        return 0
+    r, _ = rank_and_kernel(rows)
+    return r
+
+
+def _canonical_subspace_basis(vectors):
+    if not vectors:
+        return ()
+    red, pivots = rref(vectors)
+    return tuple(primitive(red[i]) for i in range(len(pivots)))
+
+
+def _project_off(v, basis):
+    """v minus its orthogonal projection onto span(basis)."""
+    out = list(v)
+    ortho = []
+    for b in basis:
+        w = list(b)
+        for o in ortho:
+            c = dot(w, o) / dot(o, o)
+            w = [x - c * y for x, y in zip(w, o)]
+        if not is_zero(w):
+            ortho.append(w)
+    for o in ortho:
+        c = dot(out, o) / dot(o, o)
+        out = [x - c * y for x, y in zip(out, o)]
+    return tuple(out)
+
+
+def pointed_rays(mat, d):
+    """Extreme rays of the pointed cone {x in Q^d : mat @ x >= 0}."""
+    if d == 0:
+        return []
+    if d == 1:
+        if all(row[0] >= 0 for row in mat):
+            return [(Fraction(1),)]
+        if all(row[0] <= 0 for row in mat):
+            return [(Fraction(-1),)]
+        return []
+    found = {}
+    m = len(mat)
+    for sub in combinations(range(m), d - 1):
+        rows = [mat[i] for i in sub]
+        r, ker = rank_and_kernel(rows)
+        if r != d - 1:
+            continue
+        u = ker[0]
+        vals = [dot(row, u) for row in mat]
+        if all(x >= 0 for x in vals):
+            pass
+        elif all(x <= 0 for x in vals):
+            u = tuple(-x for x in u)
+            vals = [-x for x in vals]
+        else:
+            continue
+        tight = [mat[i] for i, x in enumerate(vals) if x == 0]
+        if _rank(tight) != d - 1:
+            continue
+        found[primitive(u)] = None
+    return [qvec(r) for r in found]
+
+
+def rays_of_hcone(ineqs, eqs, dim):
+    """(lineality basis, rays) of {x : <a,x> >= 0, <e,x> = 0}, over Fractions."""
+    ineqs = [qvec(a) for a in ineqs]
+    w_basis = _kernel_basis([qvec(e) for e in eqs], dim)
+    if not w_basis:
+        return (), ()
+    w = len(w_basis)
+    mat = [[dot(a, wj) for wj in w_basis] for a in ineqs]
+    lin_y = _kernel_basis([r for r in mat if not is_zero(r)], w) if mat else \
+        [tuple(Fraction(int(i == j)) for j in range(w)) for i in range(w)]
+    if lin_y:
+        _, piv = rref(lin_y)
+        comp_idx = [j for j in range(w) if j not in piv]
+    else:
+        comp_idx = list(range(w))
+    proj_rows = [[row[c] for c in comp_idx] for row in mat]
+    rays_c = pointed_rays(proj_rows, len(comp_idx))
+
+    def to_ambient(y):
+        out = [Fraction(0)] * dim
+        for coef, wv in zip(y, w_basis):
+            out = [o + coef * x for o, x in zip(out, wv)]
+        return tuple(out)
+
+    lin_amb = _canonical_subspace_basis([to_ambient(y) for y in lin_y])
+    rays_amb = []
+    for rc in rays_c:
+        y = [Fraction(0)] * w
+        for coef, c in zip(rc, comp_idx):
+            y[c] = coef
+        r = to_ambient(y)
+        if lin_amb:
+            r = _project_off(r, lin_amb)
+        rays_amb.append(primitive(r))
+    return lin_amb, tuple(sorted(set(rays_amb)))

@@ -82,6 +82,13 @@ def test_hilbert_degree_zero_is_one(fix_f2, fix_p1p1):
         assert hilbert_function(fan, 0) == (1,)
 
 
+def test_hilbert_stops_at_first_zero_degree(fix_torsion):
+    # generated in degree 1: R_2 = 0 forces R_3 = R_4 = 0 without elimination
+    pres = presentation(fix_torsion)
+    assert hilbert_function(pres, 4) == (1, 1, 0, 0, 0)
+    assert max(pres._quotients) == 2
+
+
 def test_hilbert_budget_generators():
     # synthetic presentation with 17 generators trips the cap
     tail = Cone.from_generators(1, [(1,)])

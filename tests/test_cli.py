@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tvartop import fixtures
 from tvartop.cli import (
     EXIT_BUDGET,
@@ -210,6 +212,43 @@ def test_downgrade_incomplete_fan(tmp_path):
     path.write_text(json.dumps(doc))
     code, _ = run_cli(["downgrade", str(path)])
     assert code == EXIT_DOMAIN
+
+
+def test_downgrade_rank_one_complex_is_domain_error(capsys):
+    code, text = run_cli(["downgrade", fixture_path("fix_chain.json")])
+    assert code == EXIT_DOMAIN and text == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# --- malformed documents -------------------------------------------------------------
+
+def _mutated_f2(tmp_path, mutate):
+    doc = json.loads(fixtures.fixture_text("fix_f2.json"))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set(*keys, value):
+    def mutate(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("curve", value=[]),
+    _set("pdivisors", 0, "coefficients", value=[]),
+    _set("pdivisors", value=5),
+    _set("pdivisors", value={"tail": []}),
+], ids=["curve-list", "coefficients-list", "pdivisors-int", "pdivisors-object"])
+@pytest.mark.parametrize("command", ["validate", "invariants", "chow", "pi1"])
+def test_malformed_fan_document_is_parse_error(tmp_path, capsys, mutate, command):
+    code, text = run_cli([command, _mutated_f2(tmp_path, mutate)])
+    assert code == EXIT_PARSE and text == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 # --- determinism -----------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction as F
-import pytest
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_kernel
 from conftest import rand_cone, rand_polytope
 from tvartop.errors import EmptyInput, RankMismatch
 from tvartop.polyhedron import (
@@ -15,6 +19,7 @@ from tvartop.polyhedron import (
     minkowski_sum,
     mu,
     normal_fan,
+    rays_of_hcone,
     tail_cone,
 )
 
@@ -263,3 +268,45 @@ def test_cone_meets_against_fourier_motzkin():
 def test_cone_meets_rank_mismatch():
     with pytest.raises(RankMismatch):
         cone_meets_polyhedron(cone([(1,)]), poly([(0, 0)], n=2))
+
+
+# --- integer kernel against the Fraction oracle ----------------------------
+
+def _rows(dim, max_rows):
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=max_rows)
+
+
+@st.composite
+def _hcones(draw):
+    dim = draw(st.integers(1, 5))
+    ineqs = draw(_rows(dim, 7))
+    eqs = draw(_rows(dim, 2))
+    return ineqs, eqs, dim
+
+
+@given(_hcones())
+@settings(max_examples=300, deadline=None)
+def test_rays_of_hcone_matches_fraction_oracle(case):
+    ineqs, eqs, dim = case
+    got = rays_of_hcone(ineqs, eqs, dim)
+    assert got == fraction_kernel.rays_of_hcone(ineqs, eqs, dim)
+    lin, rays = got
+    assert all(type(x) is int for v in lin + rays for x in v)
+
+
+def test_rays_of_hcone_oracle_cases_with_lineality_and_equalities():
+    cases = [
+        ([(1, 0, 0)], [], 3),
+        ([(1, 0, 0), (0, 1, 0)], [(0, 0, 1)], 3),
+        ([(1, 1, 0), (F(1, 2), -1, 0)], [(1, 1, 1)], 3),
+        ([(F(1, 2), 1, 0)], [(1, 1, 1)], 3),
+        ([(1, 0, 0, 0), (-1, 0, 0, 0)], [], 4),
+        ([], [(1, 2, 3)], 3),
+    ]
+    with_lineality = 0
+    for ineqs, eqs, dim in cases:
+        got = rays_of_hcone(ineqs, eqs, dim)
+        assert got == fraction_kernel.rays_of_hcone(ineqs, eqs, dim)
+        with_lineality += bool(got[0])
+    assert with_lineality == 4

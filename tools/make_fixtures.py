@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled fixture JSON files from first principles."""
+"""Regenerate the bundled fixture JSON files from first principles.
+
+Usage: make_fixtures.py [OUTDIR]; OUTDIR defaults to src/tvartop/fixtures.
+"""
 
 import json
 import pathlib
@@ -22,8 +25,8 @@ from tvartop.polyhedron import Cone, Polyhedron
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "tvartop" / "fixtures"
 
 
-def dump(name, obj):
-    path = OUT / name
+def dump(outdir, name, obj):
+    path = pathlib.Path(outdir) / name
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print("wrote", path)
 
@@ -34,14 +37,14 @@ def fan2(rayss):
     )
 
 
-def main():
+def main(outdir=OUT):
     # complete fans (complex documents): Hirzebruch F2, P1 x P1, P2
     f2_fan = fan2([[(1, 0), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)], [(0, -1), (1, 0)]])
     p1p1_fan = fan2([[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
     p2_fan = fan2([[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]])
-    dump("fan_f2.json", serialize_complex_document(f2_fan))
-    dump("fan_p1p1.json", serialize_complex_document(p1p1_fan))
-    dump("fan_p2.json", serialize_complex_document(p2_fan))
+    dump(outdir, "fan_f2.json", serialize_complex_document(f2_fan))
+    dump(outdir, "fan_p1p1.json", serialize_complex_document(p1p1_fan))
+    dump(outdir, "fan_p2.json", serialize_complex_document(p2_fan))
 
     # chain complex in Q^1: (-inf,0], [0,1], [1,inf)
     chain = PolyhedralComplex(1, [
@@ -49,7 +52,7 @@ def main():
         Polyhedron.from_points_rays(1, [(0,), (1,)], []),
         Polyhedron.from_points_rays(1, [(1,)], [(1,)]),
     ])
-    dump("fix_chain.json", serialize_complex_document(chain))
+    dump(outdir, "fix_chain.json", serialize_complex_document(chain))
 
     # affine plane with the diagonal one-torus action
     a2 = DivisorialFan(CurveData(0, ("0",)), [
@@ -57,7 +60,7 @@ def main():
                  {"0": Polyhedron.from_points_rays(1, [(1,)], [(1,)])}),
     ])
     assert validate(a2).ok
-    dump("fix_a2.json", serialize_fan_document(a2))
+    dump(outdir, "fix_a2.json", serialize_fan_document(a2))
 
     # C* x A^1 and its two-puncture variant
     zero1 = Cone.from_generators(1, [])
@@ -66,13 +69,13 @@ def main():
                          "q": Polyhedron.empty(1)}),
     ])
     assert validate(cstar).ok
-    dump("fix_cstar.json", serialize_fan_document(cstar))
+    dump(outdir, "fix_cstar.json", serialize_fan_document(cstar))
     cstar2 = DivisorialFan(CurveData(0, ("p", "q", "r")), [
         PDivisor(zero1, {"p": Polyhedron.from_points_rays(1, [(0,)], []),
                          "q": Polyhedron.empty(1), "r": Polyhedron.empty(1)}),
     ])
     assert validate(cstar2).ok
-    dump("fix_cstar2.json", serialize_fan_document(cstar2))
+    dump(outdir, "fix_cstar2.json", serialize_fan_document(cstar2))
 
     # two segment coefficients whose difference lattices sum to an index-2 sublattice
     zero2 = Cone.from_generators(2, [])
@@ -83,15 +86,15 @@ def main():
     torsion = DivisorialFan(CurveData(0, ("p", "q")),
                             closure_under_intersection([d1, d2]))
     assert validate(torsion).ok
-    dump("fix_torsion.json", serialize_fan_document(torsion))
+    dump(outdir, "fix_torsion.json", serialize_fan_document(torsion))
 
     # downgrades
     fix_f2 = toric_downgrade(f2_fan)
     assert validate(fix_f2).ok
-    dump("fix_f2.json", serialize_fan_document(fix_f2))
+    dump(outdir, "fix_f2.json", serialize_fan_document(fix_f2))
     fix_p1p1 = toric_downgrade(p1p1_fan)
     assert validate(fix_p1p1).ok
-    dump("fix_p1p1.json", serialize_fan_document(fix_p1p1))
+    dump(outdir, "fix_p1p1.json", serialize_fan_document(fix_p1p1))
 
     # the four-dimensional quadric under its three-torus action
     def facet_cone(axis, sign):
@@ -127,8 +130,8 @@ def main():
         members.append(PDivisor(facet_cone(*key), coeffs))
     quadric = DivisorialFan(CurveData(0, points), closure_under_intersection(members))
     assert validate(quadric).ok
-    dump("fix_quadric.json", serialize_fan_document(quadric))
+    dump(outdir, "fix_quadric.json", serialize_fan_document(quadric))
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])
