@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
 
 from .complexes import find_shelling
 from .divfan import (
@@ -24,9 +23,9 @@ from .divfan import (
 from .errors import (
     BudgetExceeded,
     GenusNotZero,
-    NonSimplicial,
     NotShellable,
     NotShellableSlice,
+    NotSimplicial,
     SearchBudgetExceeded,
     ValidationFailed,
 )
@@ -326,7 +325,7 @@ def specialization_matrix(s: DivisorialFan, p) -> SpecializationMap:
     rows = []
     for g in target:
         if len(g.vertices) != 1:
-            raise NonSimplicial(
+            raise NotSimplicial(
                 f"slice face over {p!r} has {len(g.vertices)} vertices"
             )
         row = []
@@ -359,7 +358,7 @@ def is_shellable_divfan(s: DivisorialFan) -> ShellabilityReport:
     for p in slice_support(s):
         try:
             m = specialization_matrix(s, p)
-        except (NotShellableSlice, NonSimplicial) as exc:
+        except (NotShellableSlice, NotSimplicial) as exc:
             reasons.append(f"slice at {p!r}: {exc}")
             continue
         if not m.has_full_column_rank():

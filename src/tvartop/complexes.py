@@ -21,9 +21,7 @@ from .polyhedron import (
     intersect,
     is_face_of,
     mu,
-    primitive,
     qvec,
-    vadd,
     vsub,
 )
 
@@ -116,25 +114,40 @@ class PolyhedralComplex:
         return f"PolyhedralComplex(rank={self.ambient_rank}, cells={len(self.maximal_cells)})"
 
 
-def f_vector(t: PolyhedralComplex):
-    """(f_0, ..., f_n): number of faces of each dimension."""
-    out = [0] * (t.ambient_rank + 1)
-    for f in t.faces():
+def face_counts(faces, n):
+    """(f_0, ..., f_n): number of the given faces of each dimension."""
+    out = [0] * (n + 1)
+    for f in faces:
         out[f.dim] += 1
     return tuple(out)
+
+
+def h_from_f_vector(fv, k: int) -> int:
+    """h^k = sum_{l >= k} (-1)^(l-k) C(l,k) f_{n-l} for n = len(fv) - 1.
+
+    Zero for k outside 0..n, which the Betti formula's k-1 and n+1 terms use.
+    """
+    n = len(fv) - 1
+    if not 0 <= k <= n:
+        return 0
+    return sum((-1) ** (l - k) * comb(l, k) * fv[n - l] for l in range(k, n + 1))
+
+
+def f_vector(t: PolyhedralComplex):
+    """(f_0, ..., f_n): number of faces of each dimension."""
+    return face_counts(t.faces(), t.ambient_rank)
 
 
 def h_number(t: PolyhedralComplex, k: int) -> int:
     """Alternating binomial count over the dimension-indexed f-vector.
 
-    h^k = sum_{l >= k} (-1)^(l-k) C(l,k) f_{n-l}; equals the 2k-th Betti
-    number of the bouquet for complete simplicial complexes.
+    Equals the 2k-th Betti number of the bouquet for complete simplicial
+    complexes.
     """
     n = t.ambient_rank
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"h_number index {k} outside 0..{n}")
-    fv = f_vector(t)
-    return sum((-1) ** (l - k) * comb(l, k) * fv[n - l] for l in range(k, n + 1))
+    return h_from_f_vector(f_vector(t), k)
 
 
 def h_vector(t: PolyhedralComplex):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .complexes import PolyhedralComplex
 from .errors import (
@@ -56,7 +57,7 @@ class CurveData:
 class PDivisor:
     """A polyhedral divisor: tail cone plus coefficients over marked points."""
 
-    __slots__ = ("tail", "coefficients", "key")
+    __slots__ = ("tail", "coefficients", "key", "_degree")
 
     def __init__(self, tail: Cone, coefficients):
         if not tail.is_pointed:
@@ -73,6 +74,7 @@ class PDivisor:
             (label, poly.key) for label, poly in coeffs.items() if poly != trivial
         ))
         self.key = (tail.key, nontrivial)
+        self._degree = None
 
     @property
     def ambient_rank(self):
@@ -123,6 +125,7 @@ class DivisorialFan:
             raise ValueError("ambient rank must be at least 1")
         self._slices = {}
         self._validation = None
+        self._partition = None
 
     def members_with(self, label) -> list:
         return [d for d in self.pdivisors if not d.coefficient(label).is_empty]
@@ -158,16 +161,14 @@ def evaluate(d: PDivisor, u, points=None, on_locus=True):
 def degree(d: PDivisor) -> Polyhedron:
     """Minkowski sum of the coefficients; empty absorbs, no support gives
     the trivial polyhedron on the tail cone."""
-    if not d.has_complete_locus():
-        return Polyhedron.empty(d.ambient_rank)
-    total = None
-    trivial = trivial_polyhedron(d.tail)
-    for label in sorted(d.coefficients):
-        poly = d.coefficients[label]
-        if poly == trivial:
-            continue
-        total = poly if total is None else minkowski_sum(total, poly)
-    return trivial if total is None else total
+    if d._degree is None:
+        if not d.has_complete_locus():
+            d._degree = Polyhedron.empty(d.ambient_rank)
+        else:
+            trivial = trivial_polyhedron(d.tail)
+            parts = [poly for _, poly in sorted(d.coefficients.items()) if poly != trivial]
+            d._degree = reduce(minkowski_sum, parts) if parts else trivial
+    return d._degree
 
 
 @dataclass
@@ -305,6 +306,8 @@ def contracted_partition(s: DivisorialFan):
     A face is contracted iff some complete-locus member's degree meets its
     tail cone inside that member's tail.
     """
+    if s._partition is not None:
+        return s._partition
     ckeys = _contracted_tail_keys(s)
     tf = tail_fan(s)
 
@@ -318,7 +321,8 @@ def contracted_partition(s: DivisorialFan):
     for p in s.curve.marked_points:
         if s.members_with(p):
             per_slice[p] = split(slice_at(s, p))
-    return split(tf), per_slice
+    s._partition = (split(tf), per_slice)
+    return s._partition
 
 
 def pdiv_intersect(a: PDivisor, b: PDivisor) -> PDivisor:

@@ -37,10 +37,6 @@ class NotShellableSlice(NotShellable):
     pass
 
 
-class SearchBudgetExceeded(TvartopError):
-    pass
-
-
 class NotInDualCone(TvartopError):
     pass
 
@@ -67,16 +63,16 @@ class GenusNotZero(TvartopError):
     pass
 
 
-class NonSimplicial(TvartopError):
-    """A matched face has more than one vertex."""
-
-
 class NotApplicable(TvartopError):
     """Hypotheses of the criterion are not met."""
 
 
 class BudgetExceeded(TvartopError):
     pass
+
+
+class SearchBudgetExceeded(BudgetExceeded):
+    """A combinatorial search met its size cap before finishing."""
 
 
 class ParseError(TvartopError):

@@ -12,8 +12,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-Rational = Fraction
-
 
 def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -36,24 +34,6 @@ class QMatrix:
         data = tuple(tuple(_q(x) for x in row) for row in rows)
         ncols = len(data[0]) if data else 0
         return cls(len(data), ncols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def row(self, i):
-        return self.entries[i]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows(zip(*self.entries)) if self.rows else QMatrix(0, 0, ())
-
-    def __mul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return QMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
 
 
 def _bitsize(x: Fraction) -> int:

@@ -3,7 +3,7 @@
 import json
 from importlib import resources
 
-from ..cli import parse_complex_document, parse_fan_document
+from ..io import parse_complex_document, parse_fan_document
 
 
 def fixture_text(name: str) -> str:

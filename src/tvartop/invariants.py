@@ -8,12 +8,13 @@ in uv and its uv-coefficients are Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .complexes import (
     PolyhedralComplex,
     cayley_cone_of_polyhedron,
     _cone_is_unimodular,
+    face_counts,
+    h_from_f_vector,
     h_number,
     is_complete,
     is_simplicial,
@@ -144,19 +145,6 @@ def _as_epoly(x):
     return x if isinstance(x, EPolynomial) else EPolynomial.constant(x)
 
 
-def _counts_by_dim(faces, n):
-    out = [0] * (n + 1)
-    for f in faces:
-        out[f.dim] += 1
-    return out
-
-
-def _h_from_counts(fv, n, k):
-    if k < 0 or k > n:
-        return 0
-    return sum((-1) ** (l - k) * comb(l, k) * fv[n - l] for l in range(k, n + 1))
-
-
 def _require_valid(s: DivisorialFan):
     report = validate(s)
     if not report.ok:
@@ -180,9 +168,9 @@ def grothendieck_class(s: DivisorialFan) -> EPolynomial:
     n = s.ambient_rank
     u_class = _class_of_open_curve(s)
     tail_part, slice_parts = contracted_partition(s)
-    f_nc = _counts_by_dim(tail_part.noncontracted, n)
-    f_c = _counts_by_dim(tail_part.contracted, n)
-    slice_nc = [_counts_by_dim(slice_parts[p].noncontracted, n) for p in slice_support(s)]
+    f_nc = face_counts(tail_part.noncontracted, n)
+    f_c = face_counts(tail_part.contracted, n)
+    slice_nc = [face_counts(slice_parts[p].noncontracted, n) for p in slice_support(s)]
     lm1 = EPolynomial.line() - 1
     total = EPolynomial()
     for k in range(n + 1):
@@ -196,8 +184,8 @@ def grothendieck_class_resolution(s: DivisorialFan) -> EPolynomial:
     _require_valid(s)
     n = s.ambient_rank
     u_class = _class_of_open_curve(s)
-    f_tail = _counts_by_dim(tail_fan(s).faces(), n)
-    f_slices = [_counts_by_dim(slice_at(s, p).faces(), n) for p in slice_support(s)]
+    f_tail = face_counts(tail_fan(s).faces(), n)
+    f_slices = [face_counts(slice_at(s, p).faces(), n) for p in slice_support(s)]
     lm1 = EPolynomial.line() - 1
     total = EPolynomial()
     for k in range(n + 1):
@@ -308,17 +296,17 @@ def betti_numbers(s: DivisorialFan) -> BettiVector:
     n = s.ambient_rank
     supp = slice_support(s)
     tail_part, slice_parts = contracted_partition(s)
-    f_tail = _counts_by_dim(tail_fan(s).faces(), n)
-    f_nc = _counts_by_dim(tail_part.noncontracted, n)
-    f_slice_nc = [_counts_by_dim(slice_parts[p].noncontracted, n) for p in supp]
+    f_tail = face_counts(tail_fan(s).faces(), n)
+    f_nc = face_counts(tail_part.noncontracted, n)
+    f_slice_nc = [face_counts(slice_parts[p].noncontracted, n) for p in supp]
     r = len(supp)
     values = []
     for k in range(n + 2):
         b = (
-            _h_from_counts(f_tail, n, k)
-            - r * _h_from_counts(f_nc, n, k)
-            + _h_from_counts(f_nc, n, k - 1)
-            + sum(_h_from_counts(fs, n, k) for fs in f_slice_nc)
+            h_from_f_vector(f_tail, k)
+            - r * h_from_f_vector(f_nc, k)
+            + h_from_f_vector(f_nc, k - 1)
+            + sum(h_from_f_vector(fs, k) for fs in f_slice_nc)
         )
         values.append(b)
     if any(b < 0 for b in values):

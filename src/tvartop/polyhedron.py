@@ -1,9 +1,14 @@
 """Exact rational cones and polyhedra in N_Q, in V-representation.
 
 A polyhedron is conv(vertices) + cone(rays); the empty polyhedron is a
-distinguished per-rank value.  Construction canonicalizes through one
-V -> H -> V round trip (dual ray enumeration both ways), so equality of
-point sets is equality of the stored data.  All arithmetic is exact.
+distinguished per-rank value.  Every nonempty polyhedron is decoded from
+the canonical generators of its homogenization cone, so equality of point
+sets is equality of the stored data.  V-data (``from_points_rays``) goes
+V -> H -> V: one ray enumeration for the H-rep, one more for the canonical
+generators.  H-data goes through the one decoder, ``_from_hcone``, after a
+single ray enumeration; ``intersect`` feeds it the union of the operands'
+H-reps and leaves the result's own H-rep to be computed on demand by
+``hrep()``.  All arithmetic is exact.
 
 The kernel works on primitive integer rows only: ray enumeration scales
 every input row to a primitive integer vector and takes kernels, ranks and
@@ -342,31 +347,25 @@ class Polyhedron:
     @classmethod
     def _from_hrep_data(cls, ambient_rank, heqs, hineqs):
         # t >= 0 is implicit in dual-derived H-reps but not in synthesized ones
-        t_row = (1,) + (0,) * ambient_rank
-        hineqs = list(hineqs) + [t_row]
-        lin, gens = rays_of_hcone(hineqs, heqs, ambient_rank + 1)
-        verts = []
-        ray_gens = []
-        for g in gens:
-            t = g[0]
-            if t > 0:
-                verts.append(tuple(Fraction(x, t) for x in g[1:]))
-            elif t == 0:
-                ray_gens.append(g[1:])
-            else:
-                # homogenization cones never contain t < 0 rays unless empty input
-                return cls.empty(ambient_rank)
-        lin_gens = []
-        for l in lin:
-            if l[0] != 0:
-                return cls.empty(ambient_rank)
-            lin_gens.append(l[1:])
+        hineqs = list(hineqs) + [(1,) + (0,) * ambient_rank]
+        p = cls._from_hcone(ambient_rank, *rays_of_hcone(hineqs, heqs, ambient_rank + 1))
+        if not p.is_empty:
+            p._hrep = (heqs, hineqs)
+        return p
+
+    @classmethod
+    def _from_hcone(cls, ambient_rank, lin, gens):
+        """The polyhedron whose homogenization cone has the canonical
+        generators (lin, gens) of ``rays_of_hcone``; empty unless every
+        generator has t >= 0, every lineality vector t = 0, and some
+        generator t > 0."""
+        if any(l[0] for l in lin) or any(g[0] < 0 for g in gens):
+            return cls.empty(ambient_rank)
+        verts = [tuple(Fraction(x, g[0]) for x in g[1:]) for g in gens if g[0]]
         if not verts:
             return cls.empty(ambient_rank)
-        tail = Cone(ambient_rank, tuple(sorted(ray_gens)), int_rref(lin_gens)[0])
-        p = cls(ambient_rank, verts, tail)
-        p._hrep = (heqs, hineqs)
-        return p
+        tail = Cone(ambient_rank, [g[1:] for g in gens if not g[0]], [l[1:] for l in lin])
+        return cls(ambient_rank, verts, tail)
 
     def hrep(self):
         """Homogeneous H-rep: rows (a, u) with a + <u, x> >= 0 (or = 0)."""
@@ -411,10 +410,6 @@ class Polyhedron:
             return False
         vgens, rgens = other.hgens()
         return self._satisfied_by(vgens + rgens)
-
-    def is_cone_at_origin(self) -> bool:
-        zero = tuple(Fraction(0) for _ in range(self.ambient_rank))
-        return self.vertices == (zero,)
 
     def faces(self):
         """All faces (self included), as FaceDescriptors into vertices/rays."""
@@ -514,24 +509,9 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     if q._satisfied_by(vgens + rgens):
         out = p
     else:
-        lin, rays = rays_of_hcone(list(pin) + list(qin), list(peq) + list(qeq),
-                                  p.ambient_rank + 1)
-        pts, rgs = [], []
-        ok = True
-        for g in rays:
-            if g[0] > 0:
-                pts.append(tuple(Fraction(x, g[0]) for x in g[1:]))
-            else:
-                rgs.append(g[1:])
-        for l in lin:
-            if l[0] != 0:
-                ok = False
-            rgs.append(l[1:])
-            rgs.append(tuple(-x for x in l[1:]))
-        if not pts or not ok:
-            out = Polyhedron.empty(p.ambient_rank)
-        else:
-            out = Polyhedron.from_points_rays(p.ambient_rank, pts, rgs)
+        n = p.ambient_rank
+        out = Polyhedron._from_hcone(
+            n, *rays_of_hcone(list(pin) + list(qin), list(peq) + list(qeq), n + 1))
     _intersect_cache[ck] = out
     return out
 
@@ -581,21 +561,11 @@ def normal_fan(p: Polyhedron):
     return cones
 
 
-_meets_cache = {}
-
-
 def cone_meets_polyhedron(c: Cone, p: Polyhedron) -> bool:
     """Exact feasibility of c ∩ p (false for the empty polyhedron)."""
     if c.ambient_rank != p.ambient_rank:
         raise RankMismatch("cone and polyhedron in different ambient ranks")
-    if p.is_empty:
-        return False
-    ck = (c.key, p.key)
-    hit = _meets_cache.get(ck)
-    if hit is None:
-        hit = not intersect(c.as_polyhedron(), p).is_empty
-        _meets_cache[ck] = hit
-    return hit
+    return not intersect(c.as_polyhedron(), p).is_empty
 
 
 def trivial_polyhedron(c: Cone) -> Polyhedron:

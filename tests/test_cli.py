@@ -220,6 +220,20 @@ def test_downgrade_rank_one_complex_is_domain_error(capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_search_budget_reaching_main_is_budget_exit(monkeypatch, capsys):
+    from tvartop import cli
+    from tvartop.errors import SearchBudgetExceeded
+
+    def over_budget(t):
+        raise SearchBudgetExceeded("12 maximal cells exceeds the backtracking cap of 9")
+
+    monkeypatch.setattr(cli.divfan, "toric_downgrade", over_budget)
+    code, out = run_cli(["downgrade", fixture_path("fan_f2.json")])
+    assert code == EXIT_BUDGET and out == ""
+    assert capsys.readouterr().err == (
+        "budget exceeded: 12 maximal cells exceeds the backtracking cap of 9\n")
+
+
 # --- malformed documents -------------------------------------------------------------
 
 def _mutated_f2(tmp_path, mutate):

@@ -97,6 +97,27 @@ def test_degree_trivial_when_no_support():
     assert deg.vertices == ((F(0),),) and deg.tail.rays == ((1,),)
 
 
+def test_degree_and_contracted_partition_are_computed_once(monkeypatch):
+    from tvartop import divfan, fixtures
+
+    fan = fixtures.load_fan("fix_quadric.json")
+    counts = {"minkowski_sum": 0, "_contracted_tail_keys": 0}
+    for name in counts:
+        real = getattr(divfan, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(divfan, name, counted)
+    d = next(m for m in fan.pdivisors if m.has_complete_locus())
+    assert len(d.nontrivial_labels()) == 3
+    assert degree(d) is degree(d)
+    assert counts["minkowski_sum"] == 2
+    assert contracted_partition(fan) is contracted_partition(fan)
+    assert counts["_contracted_tail_keys"] == 1
+
+
 # --- p-divisor test -------------------------------------------------------------
 
 def test_is_pdivisor_a2(fix_a2):

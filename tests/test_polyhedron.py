@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fraction_kernel
 from conftest import rand_cone, rand_polytope
+from tvartop import polyhedron
 from tvartop.errors import EmptyInput, RankMismatch
 from tvartop.polyhedron import (
     Cone,
@@ -268,6 +269,49 @@ def test_cone_meets_against_fourier_motzkin():
 def test_cone_meets_rank_mismatch():
     with pytest.raises(RankMismatch):
         cone_meets_polyhedron(cone([(1,)]), poly([(0, 0)], n=2))
+
+
+# --- intersect against the V-path and the union H-rep ----------------------
+
+@st.composite
+def _polyhedron_pairs(draw):
+    """Two rational polyhedra of one rank <= 3, with rays and some lineality."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    direction = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+
+    def one():
+        pts = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=4))
+        rays = draw(st.lists(direction, max_size=3))
+        for l in draw(st.lists(direction, max_size=1)):
+            rays += [l, [-x for x in l]]
+        return Polyhedron.from_points_rays(n, pts, rays)
+
+    return one(), one()
+
+
+@given(_polyhedron_pairs())
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_canonical_rebuild_and_union_hrep(pair):
+    p, q = pair
+    n = p.ambient_rank
+    polyhedron._intersect_cache.clear()
+    r = intersect(p, q)
+    polyhedron._intersect_cache.clear()
+    assert intersect(q, p).key == r.key
+    peq, pin = p.hrep()
+    qeq, qin = q.hrep()
+    rows = list(pin) + list(qin)
+    for e in list(peq) + list(qeq):
+        rows += [e, tuple(-x for x in e)]
+    assert r.is_empty == (not _fm_feasible(rows))
+    if r.is_empty:
+        return
+    if r is not p:
+        assert r._hrep is None  # the union H-rep is not stored on the result
+    assert Polyhedron.from_points_rays(n, r.vertices, r.tail.rays).key == r.key
+    union = Polyhedron._from_hrep_data(n, list(peq) + list(qeq), list(pin) + list(qin))
+    assert union.contains_polyhedron(r) and r.contains_polyhedron(union)
 
 
 # --- integer kernel against the Fraction oracle ----------------------------

@@ -10,7 +10,6 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from tvartop.cli import serialize_complex_document, serialize_fan_document
 from tvartop.complexes import PolyhedralComplex
 from tvartop.divfan import (
     CurveData,
@@ -20,6 +19,7 @@ from tvartop.divfan import (
     toric_downgrade,
     validate,
 )
+from tvartop.io import serialize_complex_document, serialize_fan_document
 from tvartop.polyhedron import Cone, Polyhedron
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "tvartop" / "fixtures"
