@@ -29,7 +29,7 @@ from .errors import (
     SearchBudgetExceeded,
     ValidationFailed,
 )
-from .exactla import QMatrix, rank_and_kernel
+from .exactla import rref
 from .polyhedron import mu
 
 GENERATOR_CAP = 16
@@ -122,21 +122,20 @@ def presentation(s: DivisorialFan) -> ChowPresentation:
 
     rows = []
     for i in range(n):
-        row = [Fraction(0)] * len(gens)
+        row = [0] * len(gens)
         for r in rays:
-            row[hidx(r)] = Fraction(r[i])
+            row[hidx(r)] = r[i]
         for p, verts in slice_vertices.items():
             for v in verts:
-                row[vidx(p, v)] = Fraction(mu(v)) * Fraction(v[i])
-        rows.append(row)
+                row[vidx(p, v)] = int(mu(v) * v[i])
+        rows.append(tuple(row))
     for p in list(supp) + [g2]:
-        row = [Fraction(0)] * len(gens)
+        row = [0] * len(gens)
         for v in slice_vertices[p]:
-            row[vidx(p, v)] = Fraction(mu(v))
+            row[vidx(p, v)] = mu(v)
         for v in slice_vertices[g1]:
-            row[vidx(g1, v)] -= Fraction(mu(v))
-        rows.append(row)
-    linear = QMatrix.from_rows(rows)
+            row[vidx(g1, v)] -= mu(v)
+        rows.append(tuple(row))
 
     face_supports = set()
     for f in tf.faces():
@@ -149,7 +148,7 @@ def presentation(s: DivisorialFan) -> ChowPresentation:
             face_supports.add(frozenset(sup))
 
     nonfaces = _minimal_nonfaces(face_supports, len(gens))
-    return ChowPresentation(s, gens, linear, nonfaces, (g1, g2), supp)
+    return ChowPresentation(s, gens, tuple(rows), nonfaces, (g1, g2), supp)
 
 
 def _minimal_nonfaces(face_supports, m):
@@ -243,7 +242,7 @@ def _quotient(pres: ChowPresentation, d: int):
             rref_.add({mono_id[mo]: Fraction(1)})
     if d >= 1:
         lower = list(combinations_with_replacement(range(m), d - 1))
-        for rel in pres.linear_relations.entries:
+        for rel in pres.linear_relations:
             for lo in lower:
                 row = {}
                 for g, cg in enumerate(rel):
@@ -297,11 +296,10 @@ class SpecializationMap:
 
     source_basis: tuple   # shelling faces of the tail fan
     target_basis: tuple   # shelling faces of the slice
-    matrix: QMatrix       # rows = target, cols = source, entries mu(v(G))
+    matrix: tuple         # int rows = target, cols = source, entries mu(v(G))
 
     def has_full_column_rank(self) -> bool:
-        rank, _ = rank_and_kernel(self.matrix)
-        return rank == self.matrix.cols
+        return len(rref(self.matrix)[1]) == len(self.source_basis)
 
 
 def _shelling_faces(complex_):
@@ -334,8 +332,8 @@ def specialization_matrix(s: DivisorialFan, p) -> SpecializationMap:
                 row.append(mu(g.vertices[0]))
             else:
                 row.append(0)
-        rows.append(row)
-    return SpecializationMap(tuple(source), tuple(target), QMatrix.from_rows(rows))
+        rows.append(tuple(row))
+    return SpecializationMap(tuple(source), tuple(target), tuple(rows))
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .errors import (
     SearchBudgetExceeded,
     TvartopError,
 )
-from .io import parse_complex_document, parse_fan_document, rat_out, serialize_fan_document
+from .io import parse_complex_document, parse_fan_document, serialize_fan_document
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -116,8 +116,7 @@ def cmd_chow(args, out):
     shell = chow.is_shellable_divfan(fan)
     results = {
         "generators": [g.name for g in pres.generators],
-        "linear_relations": [[rat_out(x) for x in row]
-                             for row in pres.linear_relations.entries],
+        "linear_relations": [list(row) for row in pres.linear_relations],
         "nonface_count": len(pres.nonface_sets),
         "nonfaces": [[pres.generators[i].name for i in nf] for nf in pres.nonface_sets],
         "hilbert": list(hilbert),

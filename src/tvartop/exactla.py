@@ -1,112 +1,27 @@
-"""Exact rational and integer linear algebra.
+"""Exact integer linear algebra.
 
-Everything runs over ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms with positive denominator) or plain python ints; there is no
-floating point anywhere in the package.
+Everything runs over plain python ints; there is no floating point
+anywhere in the package.  Rational input is scaled to integer rows by the
+caller.  Elimination is fraction free: ``rref`` keeps every row a
+primitive integer vector, and ``rank_and_kernel`` reads a primitive integer
+kernel basis off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense matrix of rationals with a declared shape."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
-
-    @classmethod
-    def from_rows(cls, rows) -> "QMatrix":
-        data = tuple(tuple(_q(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, data)
-
-
-def _bitsize(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
-def rref(rows, pivot: str = "bits"):
-    """Reduced row echelon form.
-
-    Returns (reduced rows, pivot column indices).  ``pivot`` selects the
-    strategy: "bits" picks the entry of least bit complexity in the current
-    column (keeps coefficients small), "first" takes the first nonzero one.
-    """
-    mat = [[_q(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        candidates = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-        if not candidates:
-            continue
-        if pivot == "bits":
-            best = min(candidates, key=lambda i: _bitsize(mat[i][c]))
-        else:
-            best = candidates[0]
-        mat[r], mat[best] = mat[best], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def rank_and_kernel(m, pivot: str = "bits"):
-    """Rank and a basis of the right kernel of a rational matrix.
-
-    ``m`` may be a QMatrix or an iterable of rows.  Kernel vectors are tuples
-    of Fractions; rank + len(kernel) == number of columns.
-    """
-    if isinstance(m, QMatrix):
-        rows, ncols = m.entries, m.cols
-    else:
-        rows = [tuple(_q(x) for x in row) for row in m]
-        ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(rows, pivot=pivot)
-    rank = len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return rank, basis
-
-
-def int_rref(rows):
+def rref(rows):
     """Fraction-free reduced row echelon form of an integer matrix.
 
-    Returns (rows, pivot columns) like ``rref``, but each row is the
-    primitive integer multiple of the RREF row with a positive pivot; zero
-    rows are dropped.  A row is eliminated against the pivot row by
-    cross-multiplying with the two entries divided by their gcd, then divided
-    by its content, so every entry stays a small integer.
+    Returns (rows, pivot columns).  Each row is the primitive integer
+    multiple of the RREF row with a positive pivot; zero rows are dropped.
+    A row is eliminated against the pivot row by cross-multiplying with the
+    two entries divided by their gcd, then divided by its content, so every
+    entry stays a small integer.
     """
     mat = [list(r) for r in rows if any(r)]
     if not mat:
@@ -150,20 +65,28 @@ def int_rref(rows):
     return out, pivots
 
 
-def solve(rows, rhs):
-    """One solution of ``rows @ x = rhs`` or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(aug)
-    for r in range(len(red)):
-        if all(red[r][c] == 0 for c in range(ncols)) and red[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][ncols]
-    return tuple(x)
+def rank_and_kernel(rows, ncols):
+    """(pivot columns, kernel basis) of an integer matrix with ``ncols`` columns.
+
+    The rank is the number of pivot columns.  The kernel basis has one
+    primitive integer vector per free column f, positive at f and zero at
+    the other free columns, so the free columns' unit vectors span a
+    complement of the kernel.
+    """
+    red, piv = rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        hits = [(row[f], row[pc], pc) for row, pc in zip(red, piv) if row[f]]
+        m = lcm(*(p for _, p, _ in hits))
+        v = [0] * ncols
+        v[f] = m
+        for a, p, pc in hits:
+            v[pc] = -a * (m // p)
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return piv, basis
 
 
 def int_det(rows) -> int:
@@ -325,17 +248,16 @@ def saturated_basis(vectors, n: int):
 
 
 def _int_inverse(m):
-    """Inverse of a unimodular integer matrix, exactly."""
+    """Inverse of a unimodular integer matrix, exactly.
+
+    The integer RREF of [M | I] is [I | M^-1] up to positive row multiples:
+    M is unimodular iff its pivots are 0..n-1 and every pivot entry is 1.
+    """
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(m)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    inv = [[red[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([x.numerator for x in row])
-    return out
+    if any(row[i] != 1 for i, row in enumerate(red)):
+        raise ValueError("matrix is not unimodular")
+    return [list(row[n:]) for row in red]

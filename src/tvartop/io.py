@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import complexes, divfan
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 from .polyhedron import Cone, Polyhedron
+
+RANK_CAP = 16
 
 
 def _rat(x) -> Fraction:
@@ -48,6 +50,16 @@ def _rat_vec(v, n, what):
     return tuple(_rat(x) for x in v)
 
 
+def _capped_rank(doc, key):
+    """doc[key], a positive integer no larger than ``RANK_CAP``."""
+    n = doc.get(key)
+    if not isinstance(n, int) or n < 1:
+        raise ParseError(f"{key} must be a positive integer")
+    if n > RANK_CAP:
+        raise BudgetExceeded(f"{key} {n} exceeds the rank cap of {RANK_CAP}")
+    return n
+
+
 def _field(obj, key, kind, default, what):
     """obj[key] (default when absent), which must be of type ``kind``."""
     v = obj.get(key, default)
@@ -62,9 +74,7 @@ def parse_fan_document(doc):
         raise ParseError("fan document must be an object")
     if doc.get("schema_version") != "1":
         raise ParseError("unsupported schema_version")
-    n = doc.get("lattice_rank")
-    if not isinstance(n, int) or n < 1:
-        raise ParseError("lattice_rank must be a positive integer")
+    n = _capped_rank(doc, "lattice_rank")
     curve = _field(doc, "curve", dict, {}, "curve")
     genus = curve.get("genus", 0)
     points = curve.get("points", [])
@@ -145,9 +155,7 @@ def parse_complex_document(doc):
         raise ParseError("complex document must be an object")
     if doc.get("schema_version") != "1":
         raise ParseError("unsupported schema_version")
-    n = doc.get("ambient_rank")
-    if not isinstance(n, int) or n < 1:
-        raise ParseError("ambient_rank must be a positive integer")
+    n = _capped_rank(doc, "ambient_rank")
     cells = []
     for i, body in enumerate(_field(doc, "cells", list, [], "cells")):
         if not isinstance(body, dict):

@@ -13,12 +13,13 @@ H-reps and leaves the result's own H-rep to be computed on demand by
 The kernel works on primitive integer rows only: ray enumeration scales
 every input row to a primitive integer vector and takes kernels, ranks and
 the projection off the lineality space by fraction-free elimination
-(``exactla.int_rref``); membership and tightness tests dot the integer
-H-rows against integer homogenized generators.  Extreme rays are found by
-the subset-kernel search (each extreme ray of a pointed cone in Q^d spans
-the kernel of d-1 independent rows it makes tight), which suits the sizes
-met here: ambient rank <= 4-ish, a dozen rows at most.  Vertices are
-stored as ``Fraction`` tuples, rays and H-rows as int tuples.
+(``exactla.rref``, ``exactla.rank_and_kernel``); membership and tightness
+tests dot the integer H-rows against integer homogenized generators.
+Extreme rays are found by the subset-kernel search (each extreme ray of a
+pointed cone in Q^d spans the kernel of d-1 independent rows it makes
+tight), which suits the sizes met here: ambient rank <= 4-ish, a dozen rows
+at most.  Vertices are stored as ``Fraction`` tuples, rays and H-rows as
+int tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import EmptyInput, RankMismatch
-from .exactla import int_rref
+from .exactla import rank_and_kernel, rref
 
 Vec = tuple
 
@@ -92,30 +93,7 @@ def _int_rows(rows):
 
 
 def _rank(rows) -> int:
-    return len(int_rref(rows)[1])
-
-
-def _int_kernel(rows, dim):
-    """(pivot columns, kernel basis) of an integer matrix with ``dim`` columns.
-
-    One primitive basis vector per free column f, positive at f and zero at
-    the other free columns, so the free columns' unit vectors span a
-    complement of the kernel.
-    """
-    red, piv = int_rref(rows)
-    basis = []
-    for f in range(dim):
-        if f in piv:
-            continue
-        hits = [(row[f], row[pc], pc) for row, pc in zip(red, piv) if row[f]]
-        m = lcm(*(p for _, p, _ in hits))
-        v = [0] * dim
-        v[f] = m
-        for a, p, pc in hits:
-            v[pc] = -a * (m // p)
-        g = gcd(*v)
-        basis.append(tuple(x // g for x in v))
-    return piv, basis
+    return len(rref(rows)[1])
 
 
 def _pointed_rays(mat, d):
@@ -135,7 +113,7 @@ def _pointed_rays(mat, d):
         return []
     found = set()
     for sub in combinations(mat, d - 1):
-        piv, ker = _int_kernel(sub, d)
+        piv, ker = rank_and_kernel(sub, d)
         if len(piv) != d - 1:
             continue
         u = ker[0]
@@ -169,7 +147,7 @@ def rays_of_hcone(ineqs, eqs, dim):
     ineqs = _int_rows(ineqs)
     eqs = _int_rows(eqs)
     if eqs:
-        _, w_basis = _int_kernel(eqs, dim)
+        _, w_basis = rank_and_kernel(eqs, dim)
         if not w_basis:
             return (), ()
         mat = _int_rows([[_idot(a, wj) for wj in w_basis] for a in ineqs])
@@ -180,10 +158,7 @@ def rays_of_hcone(ineqs, eqs, dim):
         w = dim
     if w == 0:
         return (), ()
-    if mat:
-        piv, lin_y = _int_kernel(mat, w)
-    else:
-        piv, lin_y = [], [tuple(int(i == j) for j in range(w)) for i in range(w)]
+    piv, lin_y = rank_and_kernel(mat, w)
     # the pivot columns' unit vectors span a complement of the lineality
     rays_c = _pointed_rays([tuple(row[c] for c in piv) for row in mat], len(piv))
 
@@ -192,7 +167,7 @@ def rays_of_hcone(ineqs, eqs, dim):
             return y
         return [_idot(col, y) for col in zip(*w_basis)]
 
-    lin_amb, _ = int_rref([to_ambient(y) for y in lin_y])
+    lin_amb, _ = rref([to_ambient(y) for y in lin_y])
     ortho = []
     for b in lin_amb:
         b = _project_off(b, ortho)

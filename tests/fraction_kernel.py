@@ -1,10 +1,14 @@
-"""The Fraction subset-kernel ray enumerator, kept as a brute-force oracle.
+"""Fraction reference kernels, kept as brute-force oracles.
 
-This is the polyhedral kernel the library used before its integer rewrite:
-every step (kernels, ranks, the lineality split, the orthogonal projection
-off the lineality space) runs over ``fractions.Fraction``.  The differential
-test checks that ``tvartop.polyhedron.rays_of_hcone`` returns the same
-canonical (lineality, rays) pair.
+``rref``, ``rank_and_kernel`` and ``solve`` are the dense elimination over
+``fractions.Fraction`` that the library ran before its integer kernel; the
+differential tests check ``tvartop.exactla`` against them.  The subset-kernel
+ray enumerator below is the polyhedral kernel from before the integer
+rewrite: every step (kernels, ranks, the lineality split, the orthogonal
+projection off the lineality space) runs over Fractions, and the
+differential test checks that ``tvartop.polyhedron.rays_of_hcone`` returns
+the same canonical (lineality, rays) pair.  Nothing here imports
+``tvartop.exactla``, the code under test.
 """
 
 from fractions import Fraction
@@ -12,7 +16,61 @@ from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 
-from tvartop.exactla import rank_and_kernel, rref
+
+
+def rref(rows):
+    """Reduced row echelon form over Q: (reduced rows, pivot columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        best = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if best is None:
+            continue
+        mat[r], mat[best] = mat[best], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def rank_and_kernel(rows):
+    """(rank, kernel basis) over Q; the basis vector of free column f is 1
+    at f and 0 at the other free columns."""
+    rows = [tuple(Fraction(x) for x in row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+def solve(rows, rhs):
+    """One solution of ``rows @ x = rhs`` or None if inconsistent."""
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return tuple(x)
 
 
 def qvec(xs):

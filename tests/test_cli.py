@@ -265,6 +265,29 @@ def test_malformed_fan_document_is_parse_error(tmp_path, capsys, mutate, command
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+# --- rank cap ------------------------------------------------------------------------
+
+_HUGE_FAN = {"schema_version": "1", "lattice_rank": 2000,
+             "curve": {"genus": 0, "points": []},
+             "pdivisors": [{"tail": [], "coefficients": {}}]}
+_HUGE_COMPLEX = {"schema_version": "1", "ambient_rank": 2000, "cells": [{}]}
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    *[(c, _HUGE_FAN, "lattice_rank") for c in ("validate", "invariants", "chow", "pi1")],
+    *[(c, _HUGE_COMPLEX, "ambient_rank") for c in ("bouquet", "downgrade")],
+])
+def test_rank_above_cap_is_budget_exit(tmp_path, capsys, command, doc, key):
+    from tvartop.io import RANK_CAP
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli([command, str(path)])
+    assert code == EXIT_BUDGET and text == ""
+    assert capsys.readouterr().err == (
+        f"budget exceeded: {key} 2000 exceeds the rank cap of {RANK_CAP}\n")
+
+
 # --- determinism -----------------------------------------------------------------------
 
 def test_reports_deterministic():

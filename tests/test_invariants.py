@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_complete_fan
-from tvartop.complexes import PolyhedralComplex, f_vector
-from tvartop.divfan import CurveData, DivisorialFan, PDivisor, r0_fan
+from tvartop.complexes import PolyhedralComplex, f_vector, is_simplicial
+from tvartop.divfan import CurveData, DivisorialFan, PDivisor, r0_fan, toric_downgrade
 from tvartop.errors import NotComplete, NotSimplicial, ValidationFailed
 from tvartop.invariants import (
     BettiVector,
@@ -110,10 +110,19 @@ def test_class_requires_valid_fan(fix_f2):
         grothendieck_class(broken)
 
 
-def test_euler_characteristic_specialization(fix_f2, fix_p1p1):
-    for fan in (fix_f2, fix_p1p1):
-        chi = grothendieck_class(fan).evaluate(1, 1)
-        assert chi == sum(betti_numbers(fan))
+def test_euler_characteristic_specialization(fix_f2, fix_p1p1, fix_quadric):
+    # E(1,1) is the Euler characteristic.  Poincare duality makes the Betti
+    # vector palindromic on the smooth fixtures and on downgrades of
+    # simplicial (rationally smooth) fans; a non-simplicial one is exempt.
+    rng = random.Random(7)
+    tails = [rand_complete_fan(rng, 3) for _ in range(3)]
+    cases = [(fan, True) for fan in (fix_f2, fix_p1p1, fix_quadric)]
+    cases += [(toric_downgrade(t), is_simplicial(t)) for t in tails]
+    for fan, dual in cases:
+        betti = list(betti_numbers(fan))
+        assert grothendieck_class(fan).evaluate(1, 1) == sum(betti)
+        if dual:
+            assert betti == betti[::-1]
 
 
 def test_r0_product_law_random():
@@ -240,8 +249,6 @@ def test_bouquet_betti_guards(fix_chain):
 
 
 def test_bouquet_betti_sum_is_top_face_count(random_complete_pool):
-    from tvartop.complexes import is_simplicial
-
     for t in random_complete_pool:
         if not is_simplicial(t):
             continue

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from fraction_kernel import rank_and_kernel, rref, solve
 
 from tvartop.divfan import CurveData, DivisorialFan, PDivisor
 from tvartop.errors import NotApplicable
-from tvartop.exactla import rank_and_kernel, rref, solve
 from tvartop.pi1 import (
     FGAbelianGroup,
     LocPart,
