@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .complexes import find_shelling
+from .complexes import find_shelling, is_simplicial
 from .divfan import (
     DivisorialFan,
     slice_at,
@@ -59,6 +59,8 @@ class ChowPresentation:
         self.nonface_sets = tuple(tuple(sorted(s)) for s in nonface_sets)
         self.generic_points = generic_points
         self.supp = supp
+        named = {"tail fan": tail_fan(fan), **{f"slice at {p!r}": slice_at(fan, p) for p in supp}}
+        self.nonsimplicial = tuple(name for name, c in named.items() if not is_simplicial(c))
         self._quotients = {}
 
     @property

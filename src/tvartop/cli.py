@@ -123,7 +123,11 @@ def cmd_chow(args, out):
         "shellable": shell.ok,
         "shellability_issues": list(shell.reasons),
     }
-    _emit(_report("chow", digest, results, [], started), args.format, out)
+    warnings = []
+    if pres.nonsimplicial:
+        warnings.append("hilbert unverified: the toroidal model is not simplicial ("
+                        + ", ".join(pres.nonsimplicial) + ")")
+    _emit(_report("chow", digest, results, warnings, started), args.format, out)
     return EXIT_OK
 
 

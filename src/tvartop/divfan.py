@@ -113,6 +113,8 @@ class DivisorialFan:
         self.curve = curve
         seen = {}
         for d in pdivisors:
+            if not set(d.coefficients) <= set(curve.marked_points):
+                raise ValueError("a coefficient sits at a label that is not a marked point")
             seen[d.key] = d
         self.pdivisors = tuple(seen.values())
         if not self.pdivisors:
@@ -368,8 +370,13 @@ def validate(s: DivisorialFan) -> ValidationReport:
     """Full fan check: properness, intersection closure, the coefficient-wise
     face condition, and slice well-formedness.
 
-    The face condition checked here is the necessary combinatorial one; the
-    open-embedding condition itself has no coefficient-level criterion.
+    The tails, or the cells of one label, meet pairwise in common faces iff
+    the maximal cells do (building the slice complexes checks it) and each
+    cell is a face of some, hence every, maximal cell containing it.  Proof:
+    if a is a face of M, a ∩ (M ∩ M′) is a face of M, a and M ∩ M′; and
+    a ∩ b = (a ∩ F) ∩ (b ∩ F) for F = M ∩ M′.  The face condition checked
+    here is the necessary combinatorial one; the open-embedding condition
+    itself has no coefficient-level criterion.
     """
     if s._validation is not None:
         return s._validation
@@ -379,35 +386,21 @@ def validate(s: DivisorialFan) -> ValidationReport:
         if not rep.ok:
             issues.append(f"member {i} is not a p-divisor: {rep}")
     keys = {d.key for d in s.pdivisors}
-    labels = set()
-    for d in s.pdivisors:
-        labels |= set(d.coefficients)
-    labels = sorted(labels)
     for i in range(len(s.pdivisors)):
         for j in range(i + 1, len(s.pdivisors)):
-            a, b = s.pdivisors[i], s.pdivisors[j]
-            common = pdiv_intersect(a, b)
-            if common.key not in keys:
+            if pdiv_intersect(s.pdivisors[i], s.pdivisors[j]).key not in keys:
                 issues.append(f"intersection of members {i} and {j} is missing (closure)")
-            at = trivial_polyhedron(a.tail)
-            bt = trivial_polyhedron(b.tail)
-            ct = trivial_polyhedron(common.tail)
-            if not (is_face_of(ct, at) and is_face_of(ct, bt)):
-                issues.append(f"tails of members {i} and {j} do not meet in a common face")
-            for label in labels:
-                ca = a.coefficient(label)
-                cb = b.coefficient(label)
-                cc = common.coefficient(label)
-                if not (is_face_of(cc, ca) and is_face_of(cc, cb)):
-                    issues.append(
-                        f"coefficients of members {i} and {j} at {label!r} "
-                        "do not meet in a common face"
-                    )
     try:
-        tail_fan(s)
+        cells = [(trivial_polyhedron(d.tail), tail_fan(s), f"tail of member {i}")
+                 for i, d in enumerate(s.pdivisors)]
         for p in s.curve.marked_points:
-            if s.members_with(p):
-                slice_at(s, p)
+            cells += [(c, slice_at(s, p), f"coefficient of member {i} at {p!r}")
+                      for i, c in enumerate(d.coefficient(p) for d in s.pdivisors)
+                      if not c.is_empty]
+        for c, complex_, what in cells:
+            outer = next(m for m in complex_.maximal_cells if m.contains_polyhedron(c))
+            if not is_face_of(c, outer):
+                issues.append(f"{what} is not a face of a maximal cell containing it")
     except FanInvalid as exc:
         issues.append(f"slice is not a polyhedral complex: {exc}")
     report = ValidationReport(not issues, issues)

@@ -53,7 +53,7 @@ def _rat_vec(v, n, what):
 def _capped_rank(doc, key):
     """doc[key], a positive integer no larger than ``RANK_CAP``."""
     n = doc.get(key)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"{key} must be a positive integer")
     if n > RANK_CAP:
         raise BudgetExceeded(f"{key} {n} exceeds the rank cap of {RANK_CAP}")

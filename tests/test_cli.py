@@ -1,9 +1,14 @@
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvartop import fixtures
 from tvartop.cli import (
@@ -286,6 +291,69 @@ def test_rank_above_cap_is_budget_exit(tmp_path, capsys, command, doc, key):
     assert code == EXIT_BUDGET and text == ""
     assert capsys.readouterr().err == (
         f"budget exceeded: {key} 2000 exceeds the rank cap of {RANK_CAP}\n")
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("validate", {**_HUGE_FAN, "lattice_rank": True, "pdivisors": [{"tail": [[1]]}]}),
+    ("bouquet", {**_HUGE_COMPLEX, "ambient_rank": True,
+                 "cells": [{"rays": [[1]]}, {"rays": [[-1]]}]}),
+], ids=["fan", "complex"])
+def test_boolean_rank_is_parse_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli([command, str(path)])
+    assert code == EXIT_PARSE and text == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# --- fuzz ----------------------------------------------------------------------------
+
+_FUZZ_COMMANDS = {
+    **{name: ("validate", "invariants", "chow", "pi1")
+       for name in ("fix_a2.json", "fix_cstar.json", "fix_cstar2.json",
+                    "fix_f2.json", "fix_p1p1.json", "fix_torsion.json")},
+    **{name: ("bouquet", "downgrade")
+       for name in ("fan_f2.json", "fan_p1p1.json", "fan_p2.json", "fix_chain.json")},
+}
+
+
+def _node_paths(node, path=()):
+    """Key paths to every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _node_paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+       value=st.sampled_from([None, [], {}, "x", 10**30, True]),
+       data=st.data())
+def test_mutated_small_fixtures_exit_cleanly(name, value, data):
+    """One node of a small fixture replaced: every command that applies
+    exits 0-3 with at most one stderr line, and nothing escapes main."""
+    doc = json.loads(fixtures.fixture_text(name))
+    doc = _replace(doc, data.draw(st.sampled_from(list(_node_paths(doc)))), value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in _FUZZ_COMMANDS[name]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, path], out=io.StringIO())
+            assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_BUDGET), (command, code)
+            assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue())
 
 
 # --- determinism -----------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rand_complete_fan
+from pairwise_validate import validate as pairwise_validate
+from tvartop import fixtures
 from tvartop.complexes import PolyhedralComplex, f_vector, is_complete
 from tvartop.divfan import (
     GENERIC,
@@ -27,6 +29,7 @@ from tvartop.divfan import (
 )
 from tvartop.errors import (
     EmptyCoefficient,
+    FanInvalid,
     GenusNotZero,
     NotComplete,
     NotInDualCone,
@@ -304,9 +307,69 @@ def test_downgrade_round_trip_cayley(fan_p1p1, fan_f2):
 
 # --- validation ------------------------------------------------------------------------
 
-def test_validate_fixtures(fix_a2, fix_f2, fix_p1p1, fix_cstar, fix_torsion):
-    for fan in (fix_a2, fix_f2, fix_p1p1, fix_cstar, fix_torsion):
+def test_validate_fixtures(fix_a2, fix_f2, fix_p1p1, fix_cstar, fix_torsion, fix_quadric):
+    for fan in (fix_a2, fix_f2, fix_p1p1, fix_cstar, fix_torsion, fix_quadric):
         assert validate(fan).ok
+
+
+def _moved_vertex(rng, fan):
+    """Move one coefficient vertex of one member by a unit or half step, then
+    close the members under intersection again; None when that fails."""
+    members = list(fan.pdivisors)
+    i = rng.randrange(len(members))
+    d = members[i]
+    labels = [l for l, c in sorted(d.coefficients.items()) if not c.is_empty]
+    if not labels:
+        return None
+    label = rng.choice(labels)
+    c = d.coefficients[label]
+    verts = list(c.vertices)
+    k = rng.randrange(len(verts))
+    step = [F(0)] * fan.ambient_rank
+    step[rng.randrange(fan.ambient_rank)] = F(rng.choice((-1, 1)), rng.choice((1, 2)))
+    verts[k] = tuple(a + b for a, b in zip(verts[k], step))
+    members[i] = PDivisor(d.tail, {**d.coefficients,
+                                   label: Polyhedron.from_points_rays(
+                                       fan.ambient_rank, verts, c.tail.rays)})
+    try:
+        return DivisorialFan(fan.curve, closure_under_intersection(members, max_rounds=4))
+    except FanInvalid:
+        return None
+
+
+def test_validate_matches_pairwise_oracle():
+    """Same verdict as the pairwise check on the fixtures, on seeded
+    downgrade and r0 fans with and without one member, and on closed
+    mutants; the mutants include fans that fail only the face condition."""
+    rng = random.Random(7)
+    names = ("fix_a2.json", "fix_cstar.json", "fix_cstar2.json", "fix_f2.json",
+             "fix_p1p1.json", "fix_torsion.json")
+    bases = [fixtures.load_fan(name) for name in names]
+    seeded = [toric_downgrade(rand_complete_fan(rng, 3, pairs=3, bound=2)),
+              r0_fan(rand_complete_fan(rng, 2))]
+    cases = bases + seeded
+    for fan in seeded:
+        members = list(fan.pdivisors)
+        del members[rng.randrange(len(members))]
+        cases.append(DivisorialFan(fan.curve, members))
+    for fan in bases + seeded:
+        cases += [m for m in (_moved_vertex(rng, fan) for _ in range(4)) if m is not None]
+    face_only = 0
+    for fan in cases:
+        # each check gets its own fan object, so no cached slice or report is shared
+        old = pairwise_validate(DivisorialFan(fan.curve, fan.pdivisors))
+        new = validate(DivisorialFan(fan.curve, fan.pdivisors))
+        assert old.ok == new.ok, (old, new)
+        face_only += not old.ok and all("meet in a common face" in i for i in old.issues)
+    assert face_only >= 1
+
+
+def test_coefficient_at_unmarked_label_is_rejected():
+    # the pairwise check saw such a label, the slices of the curve do not
+    zero = Cone.from_generators(1, [])
+    d = PDivisor(zero, {"x": poly([(0,), (2,)]), "y": Polyhedron.empty(1)})
+    with pytest.raises(ValueError, match="not a marked point"):
+        DivisorialFan(CurveData(0, ("y",)), [d])
 
 
 def test_validate_closure_violation(fix_f2):
