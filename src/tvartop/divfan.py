@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from .complexes import PolyhedralComplex
 from .errors import (
@@ -366,6 +366,26 @@ class ValidationReport:
         return "valid" if self.ok else "; ".join(self.issues)
 
 
+def _face_sets(d: PDivisor, labels):
+    """The ray set of the tail and, per label, the vertex set of the
+    coefficient (empty for an empty coefficient)."""
+    return frozenset(d.tail.rays), {p: frozenset(d.coefficient(p).vertices) for p in labels}
+
+
+def _face_meet(a, b, n) -> PDivisor:
+    """The coefficient-wise intersection of two members, from their
+    ``_face_sets``, when their tails and their coefficients at each label
+    meet in common faces: the direct construction of
+    ``Polyhedron.face_polyhedron``, with no polyhedral kernel call."""
+    (rays_a, verts_a), (rays_b, verts_b) = a, b
+    tail = Cone(n, rays_a & rays_b, ())
+    coeffs = {}
+    for p, vs in verts_a.items():
+        common = vs & verts_b[p]
+        coeffs[p] = Polyhedron(n, common, tail) if common else Polyhedron.empty(n)
+    return PDivisor(tail, coeffs)
+
+
 def validate(s: DivisorialFan) -> ValidationReport:
     """Full fan check: properness, intersection closure, the coefficient-wise
     face condition, and slice well-formedness.
@@ -377,6 +397,18 @@ def validate(s: DivisorialFan) -> ValidationReport:
     a ∩ b = (a ∩ F) ∩ (b ∩ F) for F = M ∩ M′.  The face condition checked
     here is the necessary combinatorial one; the open-embedding condition
     itself has no coefficient-level criterion.
+
+    Closure is then read off the face lattices, with no polyhedral
+    intersection (``_face_meet``).  If two cells a and b of a complex meet in
+    a common face, a ∩ b is a face of both: its vertices are the vertices of
+    a that are also vertices of b, and its recession cone, rec a ∩ rec b, is
+    the common face of the tail fan with rays R_a ∩ R_b.  It is empty iff
+    V_a ∩ V_b is, since every nonempty pointed polyhedron has a vertex.
+    Canonical data of a face is a subset of its cell's, so this builds the
+    canonical intersection.  When a slice is not a complex or some cell is
+    not a face, closure falls back to the exact ``pdiv_intersect``, so its
+    issues stay true on fans that are already invalid.  Issues are listed
+    as properness, closure, then face and slice.
     """
     if s._validation is not None:
         return s._validation
@@ -385,11 +417,7 @@ def validate(s: DivisorialFan) -> ValidationReport:
         rep = is_pdivisor(d, s.curve)
         if not rep.ok:
             issues.append(f"member {i} is not a p-divisor: {rep}")
-    keys = {d.key for d in s.pdivisors}
-    for i in range(len(s.pdivisors)):
-        for j in range(i + 1, len(s.pdivisors)):
-            if pdiv_intersect(s.pdivisors[i], s.pdivisors[j]).key not in keys:
-                issues.append(f"intersection of members {i} and {j} is missing (closure)")
+    face_issues = []
     try:
         cells = [(trivial_polyhedron(d.tail), tail_fan(s), f"tail of member {i}")
                  for i, d in enumerate(s.pdivisors)]
@@ -400,9 +428,21 @@ def validate(s: DivisorialFan) -> ValidationReport:
         for c, complex_, what in cells:
             outer = next(m for m in complex_.maximal_cells if m.contains_polyhedron(c))
             if not is_face_of(c, outer):
-                issues.append(f"{what} is not a face of a maximal cell containing it")
+                face_issues.append(f"{what} is not a face of a maximal cell containing it")
     except FanInvalid as exc:
-        issues.append(f"slice is not a polyhedral complex: {exc}")
+        face_issues.append(f"slice is not a polyhedral complex: {exc}")
+    if face_issues:
+        operands = s.pdivisors
+        meet = pdiv_intersect
+    else:
+        operands = [_face_sets(d, s.curve.marked_points) for d in s.pdivisors]
+        meet = partial(_face_meet, n=s.ambient_rank)
+    keys = {d.key for d in s.pdivisors}
+    for i in range(len(operands)):
+        for j in range(i + 1, len(operands)):
+            if meet(operands[i], operands[j]).key not in keys:
+                issues.append(f"intersection of members {i} and {j} is missing (closure)")
+    issues += face_issues
     report = ValidationReport(not issues, issues)
     s._validation = report
     return report

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_complete_fan
 from pairwise_validate import validate as pairwise_validate
@@ -12,6 +14,8 @@ from tvartop.divfan import (
     CurveData,
     DivisorialFan,
     PDivisor,
+    _face_meet,
+    _face_sets,
     closure_under_intersection,
     contracted_partition,
     degree,
@@ -35,7 +39,7 @@ from tvartop.errors import (
     NotInDualCone,
     PointNotCovered,
 )
-from tvartop.polyhedron import Cone, Polyhedron, is_face_of
+from tvartop.polyhedron import Cone, Polyhedron, intersect, is_face_of
 
 
 def poly(verts, rays=(), n=1):
@@ -360,8 +364,66 @@ def test_validate_matches_pairwise_oracle():
         old = pairwise_validate(DivisorialFan(fan.curve, fan.pdivisors))
         new = validate(DivisorialFan(fan.curve, fan.pdivisors))
         assert old.ok == new.ok, (old, new)
+        assert _closure_issues(old) == _closure_issues(new), (old, new)
         face_only += not old.ok and all("meet in a common face" in i for i in old.issues)
     assert face_only >= 1
+
+
+def _closure_issues(report):
+    return [i for i in report.issues if "(closure)" in i]
+
+
+def test_closure_of_a_valid_fan_needs_no_intersection(monkeypatch):
+    """Closure of a fan whose slices pass the face check is read off the face
+    lattices; a fan that fails only the face condition takes the exact path."""
+    from tvartop import divfan
+
+    mutant = _moved_vertex(random.Random(1), fixtures.load_fan("fix_f2.json"))
+    oracle = pairwise_validate(DivisorialFan(mutant.curve, mutant.pdivisors))
+    assert not oracle.ok and all("meet in a common face" in i for i in oracle.issues)
+    calls = []
+
+    def counted(a, b, _real=divfan.pdiv_intersect):
+        calls.append(1)
+        return _real(a, b)
+
+    monkeypatch.setattr(divfan, "pdiv_intersect", counted)
+    assert validate(fixtures.load_fan("fix_quadric.json")).ok
+    assert len(calls) == 0
+    report = validate(mutant)
+    assert not report.ok and len(calls) >= 1
+    assert _closure_issues(report) == _closure_issues(oracle)
+
+
+@st.composite
+def _two_faces_of_pointed_polyhedra(draw):
+    """A pointed polyhedron of rank <= 3 and two of its faces."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    pts = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=5))
+    directions = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                               max_size=3))
+    # directions with a positive coordinate sum span a pointed cone
+    p = Polyhedron.from_points_rays(n, pts, [r for r in directions if sum(r) > 0])
+    faces = p.faces()
+    pick = st.sampled_from(faces)
+    return p, draw(pick), draw(pick)
+
+
+@given(_two_faces_of_pointed_polyhedra())
+@settings(max_examples=200, deadline=None)
+def test_face_meet_matches_intersect(case):
+    p, f, g = case
+    pairs = [(f, g)]
+    vertices = [x for x in p.faces() if x.dim == 0]
+    if len(vertices) > 1:
+        pairs.append((vertices[0], vertices[-1]))  # distinct vertices: an empty meet
+    for f, g in pairs:
+        a, b = p.face_polyhedron(f), p.face_polyhedron(g)
+        da, db = PDivisor(a.tail, {"p": a}), PDivisor(b.tail, {"p": b})
+        meet = _face_meet(_face_sets(da, ("p",)), _face_sets(db, ("p",)), p.ambient_rank)
+        assert meet.coefficient("p").key == intersect(a, b).key
+        assert meet.key == pdiv_intersect(da, db).key
 
 
 def test_coefficient_at_unmarked_label_is_rejected():

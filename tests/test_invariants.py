@@ -125,6 +125,21 @@ def test_euler_characteristic_specialization(fix_f2, fix_p1p1, fix_quadric):
             assert betti == betti[::-1]
 
 
+def test_r0_betti_is_surface_betti_times_line():
+    # r0_fan(t) gives X(t) x P^1, and a complete fan of rank 2 with k rays
+    # gives a surface with Betti (1, k - 2, 1); times (1, 1) that is
+    # (1, k - 1, k - 1, 1), palindromic
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(6):
+        t = rand_complete_fan(rng, 2)
+        k = len({r for c in t.maximal_cells for r in c.tail.rays})
+        betti = consistency_check(r0_fan(t)).betti
+        assert betti == (1, k - 1, k - 1, 1)
+        seen.add(k)
+    assert seen == {4, 6}
+
+
 def test_r0_product_law_random():
     # class = (uv + 1) * sum_k f_k (uv - 1)^(n - k) when the support is empty
     rng = random.Random(77)
