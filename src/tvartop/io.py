@@ -78,7 +78,7 @@ def parse_fan_document(doc):
     curve = _field(doc, "curve", dict, {}, "curve")
     genus = curve.get("genus", 0)
     points = curve.get("points", [])
-    if not isinstance(genus, int) or genus < 0:
+    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
         raise ParseError("curve.genus must be a nonnegative integer")
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise ParseError("curve.points must be a list of labels")

@@ -15,17 +15,17 @@ every input row to a primitive integer vector and takes kernels, ranks and
 the projection off the lineality space by fraction-free elimination
 (``exactla.rref``, ``exactla.rank_and_kernel``); membership and tightness
 tests dot the integer H-rows against integer homogenized generators.
-Extreme rays are found by the subset-kernel search (each extreme ray of a
-pointed cone in Q^d spans the kernel of d-1 independent rows it makes
-tight), which suits the sizes met here: ambient rank <= 4-ish, a dozen rows
-at most.  Vertices are stored as ``Fraction`` tuples, rays and H-rows as
-int tuples.
+Extreme rays are found by double description (Motzkin et al. 1953;
+Fukuda-Prodon 1996): start from the simplicial cone of d independent rows
+and cut by the other rows one at a time, joining adjacent rays across each
+cut.  It needs one elimination per cone, where enumerating (d-1)-row
+subsets needs one per subset.  Vertices are stored as ``Fraction`` tuples,
+rays and H-rows as int tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -99,30 +99,49 @@ def _rank(rows) -> int:
 def _pointed_rays(mat, d):
     """Extreme rays of the pointed cone {x in Q^d : mat @ x >= 0}.
 
-    ``mat`` holds primitive integer rows.  Every extreme ray spans the kernel
-    of some d-1 independent rows; such a kernel line is a ray when one of its
-    directions satisfies every row.
+    ``mat`` holds integer rows of full column rank d.  Double description:
+    d independent rows cut out a simplicial cone whose rays are the oriented
+    kernels of its (d-1)-row subsets; every other row then cuts the current
+    cone.  Rays on its nonnegative side stay, and each adjacent pair (p, q)
+    with <a,p> > 0 > <a,q> adds the ray <a,p> q - <a,q> p on the hyperplane.
+    p and q are adjacent iff no third ray is tight on every row that both
+    make tight (the minimal face holding both is then 2-dimensional), which
+    needs at least d-2 such rows.  Tight sets are bitmasks over row indices.
+
+    One ``rref`` of [mat^T | I] finds both: its pivot columns pick the
+    independent rows (the first d in order), and the identity block of the
+    row with pivot i is a primitive u with <mat[i],u> > 0 and <mat[j],u> = 0
+    for the other picked rows j.
     """
-    if d == 0:
-        return []
-    if d == 1:
-        if all(row[0] >= 0 for row in mat):
-            return [(1,)]
-        if all(row[0] <= 0 for row in mat):
-            return [(-1,)]
-        return []
-    found = set()
-    for sub in combinations(mat, d - 1):
-        piv, ker = rank_and_kernel(sub, d)
-        if len(piv) != d - 1:
+    m = len(mat)
+    red, basis = rref([list(col) + [int(i == j) for j in range(d)]
+                       for i, col in enumerate(zip(*mat))])
+    full = sum(1 << i for i in basis)
+    rays = [(row[m:], full & ~(1 << i)) for row, i in zip(red, basis)]
+    for i, a in enumerate(mat):
+        bit = 1 << i
+        if full & bit:
             continue
-        u = ker[0]
-        vals = [_idot(row, u) for row in mat]
-        if min(vals) >= 0:
-            found.add(u)
-        elif max(vals) <= 0:
-            found.add(tuple(-x for x in u))
-    return list(found)
+        vals = [_idot(a, u) for u, _ in rays]
+        kept = [(u, z | bit if s == 0 else z) for (u, z), s in zip(rays, vals) if s >= 0]
+        neg = [k for k, s in enumerate(vals) if s < 0]
+        for ip, sp in enumerate(vals):
+            if sp <= 0:
+                continue
+            p, zp = rays[ip]
+            for iq in neg:
+                q, zq = rays[iq]
+                common = zp & zq
+                if common.bit_count() < d - 2 or any(
+                        z & common == common for k, (_, z) in enumerate(rays)
+                        if k != ip and k != iq):
+                    continue
+                sq = vals[iq]
+                new = [sp * y - sq * x for x, y in zip(p, q)]
+                g = gcd(*new)
+                kept.append((tuple(x // g for x in new), common | bit))
+        rays = kept
+    return [u for u, _ in rays]
 
 
 def _project_off(v, ortho):

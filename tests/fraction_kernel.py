@@ -5,9 +5,11 @@
 differential tests check ``tvartop.exactla`` against them.  The subset-kernel
 ray enumerator below is the polyhedral kernel from before the integer
 rewrite: every step (kernels, ranks, the lineality split, the orthogonal
-projection off the lineality space) runs over Fractions, and the
-differential test checks that ``tvartop.polyhedron.rays_of_hcone`` returns
-the same canonical (lineality, rays) pair.  Nothing here imports
+projection off the lineality space) runs over Fractions.  It is the
+reference for the library's double-description enumerator: it finds each
+extreme ray as the kernel of d-1 independent rows, with no adjacency test,
+and the differential tests check that ``tvartop.polyhedron.rays_of_hcone``
+returns the same canonical (lineality, rays) pair.  Nothing here imports
 ``tvartop.exactla``, the code under test.
 """
 

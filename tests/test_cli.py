@@ -262,7 +262,10 @@ def _set(*keys, value):
     _set("pdivisors", 0, "coefficients", value=[]),
     _set("pdivisors", value=5),
     _set("pdivisors", value={"tail": []}),
-], ids=["curve-list", "coefficients-list", "pdivisors-int", "pdivisors-object"])
+    _set("curve", "genus", value=True),
+    _set("curve", "genus", value=False),
+], ids=["curve-list", "coefficients-list", "pdivisors-int", "pdivisors-object",
+        "genus-true", "genus-false"])
 @pytest.mark.parametrize("command", ["validate", "invariants", "chow", "pi1"])
 def test_malformed_fan_document_is_parse_error(tmp_path, capsys, mutate, command):
     code, text = run_cli([command, _mutated_f2(tmp_path, mutate)])

@@ -1,3 +1,6 @@
+import importlib.util
+import json
+import pathlib
 import random
 
 import pytest
@@ -8,6 +11,7 @@ from conftest import rand_complete_fan
 from tvartop.complexes import PolyhedralComplex, f_vector, is_simplicial
 from tvartop.divfan import CurveData, DivisorialFan, PDivisor, r0_fan, toric_downgrade
 from tvartop.errors import NotComplete, NotSimplicial, ValidationFailed
+from tvartop.io import parse_complex_document
 from tvartop.invariants import (
     BettiVector,
     EPolynomial,
@@ -138,6 +142,31 @@ def test_r0_betti_is_surface_betti_times_line():
         assert betti == (1, k - 1, k - 1, 1)
         seen.add(k)
     assert seen == {4, 6}
+
+
+def _load_toricgen():
+    # the benchmark's generator, loaded by path and left unedited
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "toricgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_toricgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_toric_stream_betti_is_palindromic_h_vector():
+    # the generator's fans are smooth and complete, so the even Betti
+    # numbers of the toric variety and of its downgrade are its h-vector,
+    # which Poincare duality makes palindromic; fans alternate between the
+    # P^3 and (P^1)^3 starts
+    stream = _load_toricgen().stream(5, 4)
+    assert len({tuple(h) for _, h in stream}) == 2
+    for text, h in stream:
+        t = parse_complex_document(json.loads(text))
+        report = consistency_check(toric_downgrade(t))
+        assert report.certified_smooth
+        assert bouquet_betti(t) == tuple(h)
+        assert report.betti == tuple(h)
+        assert h == h[::-1]
 
 
 def test_r0_product_law_random():

@@ -354,3 +354,51 @@ def test_rays_of_hcone_oracle_cases_with_lineality_and_equalities():
         assert got == fraction_kernel.rays_of_hcone(ineqs, eqs, dim)
         with_lineality += bool(got[0])
     assert with_lineality == 4
+
+
+def _degenerate_hcones(rng, count, max_points=7):
+    """H-cones of cones over random points of {-1,0,1}^n, n <= 3.
+
+    The rows are the facets of the cone over the points plus up to three
+    sums of facet pairs, which are redundant and tight wherever both facets
+    are; the equalities of a lower-dimensional cone come either as
+    equalities or as pairs of opposite inequalities.  Vertex sets of such
+    polytopes are far from simple, so many rays share their tight rows.
+    """
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        pts = [(1,) + tuple(rng.randint(-1, 1) for _ in range(n))
+               for _ in range(rng.randint(1, max_points))]
+        eqs, facets = rays_of_hcone(pts, [], n + 1)
+        rows = list(facets)
+        if len(facets) > 1:
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.sample(facets, 2)
+                rows.append(tuple(x + y for x, y in zip(a, b)))
+        eqs = list(eqs)
+        if eqs and rng.random() < 0.5:
+            rows += [r for e in eqs for r in (e, tuple(-x for x in e))]
+            eqs = []
+        rng.shuffle(rows)
+        yield rows, eqs, n + 1
+
+
+def test_rays_of_hcone_on_degenerate_polytope_cones(monkeypatch):
+    # double description decides adjacency by tight sets; these cones have
+    # many rays on each face, where a wrong adjacency test adds non-extreme
+    # rays or drops extreme ones
+    cases = list(_degenerate_hcones(random.Random(20261018), 120))
+    cases += [([(1,), (2,)], [], 1), ([(-3,)], [], 1), ([(1,), (-1,)], [], 1)]
+    shapes = []
+    pointed_rays = polyhedron._pointed_rays
+
+    def spy(mat, d):
+        shapes.append((len(mat), d))
+        return pointed_rays(mat, d)
+
+    monkeypatch.setattr(polyhedron, "_pointed_rays", spy)
+    for ineqs, eqs, dim in cases:
+        assert rays_of_hcone(ineqs, eqs, dim) == fraction_kernel.rays_of_hcone(ineqs, eqs, dim)
+    assert any(d == 1 for _, d in shapes)
+    assert any(m == d >= 3 for m, d in shapes)
+    assert any(m - d >= 4 and d == 4 for m, d in shapes)
