@@ -2,36 +2,36 @@
 """Benchmark a change against its parent in alternating pairs of runs.
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_N.json \\
-        [--pairs 10] [--seed 97] [--seconds 10] \\
-        [--workloads quadric,toric-stream,session] [--traced 3] [--describe TEXT]
+        --seed SEED [--pairs 10] [--traced 3]
 
 PARENT_TREE and CHANGE_TREE are two source checkouts (for example a
-``git archive`` of the parent commit and the working tree).  For every
-workload, pair i runs ``perfbench/run.py --trace 0`` once in each tree, the
-parent first in odd pairs and the change first in even ones, so a drift in
-machine load hits both sides alike.  Each run writes its result under its
-own tree's ``perfbench/out/``.
+``git archive`` of the parent commit and the working tree).  SEED should be
+one the change was not measured on while it was written.  For every workload
+of the change tree's BENCHMARK.json, pair i runs ``perfbench/run.py --trace 0``
+for the benchmark's ``run_seconds`` once in each tree, the parent first in
+odd pairs and the change first in even ones, so a drift in machine load hits
+both sides alike.  Each run writes its result under its own tree's
+``perfbench/out/``.
 
 For each gated metric of BENCHMARK.json the output holds both sides' runs,
-median and quartiles (``statistics.quantiles``, n=4, as
-``perfbench/sweep.py``), the relative change of the median, the pairs the
-change wins in the metric's direction, whether the median gap exceeds the
-parent's interquartile range, and whether the change is worse than the
-metric's bound.  ``sources`` names each side's commit (when its tree is a
-git checkout) and the digest of its ``src/``.  ``compare_py`` is the table
-``perfbench/compare.py`` prints for the same runs.  With ``--traced K``, K
-traced quadric runs per side (alternating as above) follow, and
-``traced_quadric`` keeps the call counts and times of the kernel layers
-from the last run of each side that passed every self-check (the last run
-when none did), with every attempt's ``correct`` flag.
+median and quartiles (``perfbench/sweep.py``'s ``quartiles``), the relative
+change of the median, the pairs the change wins in the metric's direction,
+whether the median gap exceeds the parent's interquartile range, and whether
+the change is worse than the metric's bound.  ``sources`` names each side's
+commit (when its tree is a git checkout) and the digest of its ``src/``.
+``compare_py`` is the table ``perfbench/compare.py`` prints for the same
+runs.  With ``--traced K``, K traced quadric runs per side (alternating as
+above) follow, and ``traced_quadric`` keeps the call counts and times of the
+kernel layers from the last run of each side that passed every self-check
+(the last run when none did), with every attempt's ``correct`` flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -46,11 +46,13 @@ TRACED = [
 ]
 
 
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, med, q3 = statistics.quantiles(values, n=4)
-    return q1, med, q3
+def load_sweep(tree):
+    """``perfbench/sweep.py`` of ``tree``, loaded by path."""
+    path = tree / "perfbench" / "sweep.py"
+    spec = importlib.util.spec_from_file_location("perfbench_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run(tree, workload, seed, seconds, trace):
@@ -79,7 +81,7 @@ def alternating(trees, count, *args):
     return runs
 
 
-def summarize(gate, runs):
+def summarize(gate, runs, quartiles):
     """The BENCH_*.json entry of one gated metric."""
     values = {side: [round(r["metrics"][gate["name"]]["value"], 4) for r in runs[side]]
               for side in SIDES}
@@ -117,6 +119,7 @@ def compare_table(trees, workdir, runs_by_workload):
 
 
 def traced(trees, count, seed, seconds):
+    """Kernel-layer counts and times from ``count`` traced quadric runs per side."""
     runs = alternating(trees, count, "quadric", seed, seconds, 1)
     out = {}
     for side in SIDES:
@@ -132,35 +135,31 @@ def main(argv=None):
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=97)
-    ap.add_argument("--seconds", type=int, default=None)
-    ap.add_argument("--workloads", default="quadric,toric-stream,session")
     ap.add_argument("--traced", type=int, default=0)
-    ap.add_argument("--describe", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    quartiles = load_sweep(trees["change"]).quartiles
+    seconds = spec["run_seconds"]
     runs_by_workload = {}
     report = {
-        "change": args.describe,
         "method": f"{args.pairs} alternating parent/change pairs per workload (odd pairs run "
                   f"the parent first, even pairs the change first), python3 perfbench/run.py "
                   f"--workload W --seed {args.seed} --seconds {seconds} --trace 0, each side "
-                  f"from its own source tree; quartiles as perfbench/sweep.py "
-                  f"(statistics.quantiles, n=4); a pair is a win when the change's value is "
-                  f"better in the metric's direction",
+                  f"from its own source tree; quartiles as perfbench/sweep.py; a pair is a "
+                  f"win when the change's value is better in the metric's direction",
         "machine": f"{platform.machine()}, {platform.system()}, Python "
                    f"{platform.python_version()}",
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = alternating(trees, args.pairs, workload, args.seed, seconds, 0)
         runs_by_workload[workload] = runs
         report["workloads"][workload] = {
-            "metrics": {g["name"]: summarize(g, runs) for g in spec["end_to_end"]},
+            "metrics": {g["name"]: summarize(g, runs, quartiles) for g in spec["end_to_end"]},
             "runs": {side: {"failed": sum(r["failed"] for r in runs[side]),
                             "attempted": sum(r["attempted"] for r in runs[side]),
                             "all_correct": all(r["correct"] for r in runs[side])}
