@@ -3,14 +3,25 @@
 Generators are the horizontal divisors (rays of the tail fan) and vertical
 divisors (slice vertices over supporting points plus two generic fibers).
 The ideal combines the divisors of character functions with the squarefree
-monomials whose divisor sets have empty intersection.
+monomials whose divisor sets have empty intersection: the ring is
+Q[x]/(I + J), with J the linear relations and I the nonface monomials
+(Danilov 1978; Fulton 1993, §5.2).
+
+The linear relations are solved once (``exactla.rref``); each dependent
+generator is a linear form in the free ones modulo J, so the ring is the
+quotient of the polynomial ring in the free generators by the images of
+the nonface monomials.  Each degree is eliminated in an incremental integer
+echelon form over the free monomials, and the basis and normal forms are
+those of the elimination over all monomials (see ``_quotient``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from math import gcd
 
 from .complexes import find_shelling, is_simplicial
 from .divfan import (
@@ -62,6 +73,7 @@ class ChowPresentation:
         named = {"tail fan": tail_fan(fan), **{f"slice at {p!r}": slice_at(fan, p) for p in supp}}
         self.nonsimplicial = tuple(name for name, c in named.items() if not is_simplicial(c))
         self._quotients = {}
+        self._substitution = None
 
     @property
     def ambient_rank(self):
@@ -178,40 +190,67 @@ def _minimal_nonfaces(face_supports, m):
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
-class _SparseRREF:
-    """Incremental reduced row echelon form over Q with dict rows."""
+class _IntEchelon:
+    """Incremental echelon form over Z with sparse dict rows.
+
+    The pivot of a row is its smallest column.  A row is cleared against a
+    pivot row by cross-multiplying with the two entries divided by their
+    gcd, and divided by its content after every scaling, so the entries
+    stay small integers (the elimination of ``exactla.rref``).
+    """
 
     def __init__(self):
-        self.pivots = {}  # col -> row dict (normalized, reduced)
+        self.pivots = {}  # col -> primitive row dict, smallest column col, positive there
 
-    def reduce(self, row):
-        row = dict(row)
-        for col in sorted(row):
-            if row.get(col, 0) == 0:
+    def reduce(self, row, full=True):
+        """(r, m): r is congruent to m * row modulo the pivot rows, m is a
+        nonzero Fraction.  A full reduction leaves no pivot column in r; a
+        partial one stops at the first column that has no pivot."""
+        row = {c: v for c, v in row.items() if v}
+        num = den = 1
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            f = row.get(col)
+            if f is None:
                 continue
             piv = self.pivots.get(col)
             if piv is None:
-                continue
-            f = row[col]
+                if full:
+                    continue
+                break
+            g = gcd(piv[col], f)
+            a, b = piv[col] // g, f // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+                num *= a
             for c, v in piv.items():
-                row[c] = row.get(c, 0) - f * v
-        return {c: v for c, v in row.items() if v != 0}
+                x = row.get(c, 0) - b * v
+                if x:
+                    if c not in row:
+                        heappush(heap, c)
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+            if a != 1 and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
+                    den *= g
+        return row, Fraction(num, den)
 
     def add(self, row) -> bool:
-        row = self.reduce(row)
+        row, _ = self.reduce(row, full=False)
         if not row:
             return False
         col = min(row)
-        inv = Fraction(1) / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        for other in self.pivots.values():
-            f = other.get(col, 0)
-            if f:
-                for c, v in row.items():
-                    other[c] = other.get(c, 0) - f * v
-                for c in [c for c, v in other.items() if v == 0]:
-                    del other[c]
-        self.pivots[col] = row
+        g = gcd(*row.values())
+        if row[col] < 0:
+            g = -g
+        self.pivots[col] = {c: v // g for c, v in row.items()}
         return True
 
     @property
@@ -229,32 +268,75 @@ def _check_budget(pres: ChowPresentation, dmax: int):
         raise BudgetExceeded(f"degree {dmax} exceeds the cap of {n + 2}")
 
 
+def _substitution(pres: ChowPresentation):
+    """(free generators, images of the generators, images of the nonfaces).
+
+    ``rref`` of the linear relations has one row c_p x_p + sum a_f x_f per
+    dependent (pivot) generator p, with c_p > 0 and f over the free
+    generators.  Modulo the relations, x_p = -(1/c_p) sum a_f x_f: the image
+    of generator g is an integer linear form {f: coefficient} over the free
+    generators and a positive denominator.  A nonface's image is the integer
+    product of its generators' forms, over free monomials; its denominator
+    does not change the row space, so it is dropped.
+    """
+    if pres._substitution is None:
+        rows, piv = rref(pres.linear_relations)
+        m = len(pres.generators)
+        dependent = set(piv)
+        free = tuple(g for g in range(m) if g not in dependent)
+        images = {g: ({g: 1}, 1) for g in free}
+        for row, p in zip(rows, piv):
+            images[p] = ({f: -row[f] for f in free if row[f]}, row[p])
+        nonfaces = [(len(nf), _image(images, nf)[0]) for nf in pres.nonface_sets]
+        nonfaces = sorted(((k, poly) for k, poly in nonfaces if poly), key=lambda x: len(x[1]))
+        pres._substitution = (free, images, nonfaces)
+    return pres._substitution
+
+
+def _image(images, mono):
+    """(integer polynomial {free monomial: coefficient}, denominator) of a
+    monomial modulo the linear relations."""
+    poly, den = {(): 1}, 1
+    for g in mono:
+        form, c = images[g]
+        den *= c
+        out = {}
+        for mo, v in poly.items():
+            for f, w in form.items():
+                key = tuple(sorted(mo + (f,)))
+                out[key] = out.get(key, 0) + v * w
+        poly = {k: v for k, v in out.items() if v}
+    return poly, den
+
+
 def _quotient(pres: ChowPresentation, d: int):
-    """(monomials, rref, basis monomial ids) of degree-d piece of the quotient."""
+    """(monomials, echelon form, basis monomial ids) of the degree-d piece.
+
+    Modulo the linear relations every monomial is congruent to its image in
+    the free generators, so the piece is the quotient of the degree-d free
+    monomials by the images of the nonface monomials times every free
+    monomial of the complementary degree.  Monomials are ordered as sorted
+    tuples of generator indices and a row's leading term is its smallest
+    monomial.  Each relation row leads with its dependent generator, so every
+    monomial with a dependent generator leads some row of the linear part:
+    the basis and the normal forms are those of the elimination over all
+    monomials in all generators.
+    """
     if d in pres._quotients:
         return pres._quotients[d]
-    m = len(pres.generators)
-    monos = list(combinations_with_replacement(range(m), d))
+    free, _, nonfaces = _substitution(pres)
+    monos = list(combinations_with_replacement(free, d))
     mono_id = {mo: i for i, mo in enumerate(monos)}
-    rref_ = _SparseRREF()
-    nonface = [set(nf) for nf in pres.nonface_sets]
-    for mo in monos:
-        sup = set(mo)
-        if any(nf <= sup for nf in nonface):
-            rref_.add({mono_id[mo]: Fraction(1)})
-    if d >= 1:
-        lower = list(combinations_with_replacement(range(m), d - 1))
-        for rel in pres.linear_relations:
-            for lo in lower:
-                row = {}
-                for g, cg in enumerate(rel):
-                    if cg == 0:
-                        continue
-                    mo = tuple(sorted(lo + (g,)))
-                    row[mono_id[mo]] = row.get(mono_id[mo], 0) + cg
-                rref_.add(row)
-    basis = [i for i in range(len(monos)) if i not in rref_.pivots]
-    pres._quotients[d] = (monos, rref_, basis)
+    ech = _IntEchelon()
+    for k, poly in nonfaces:
+        if k > d:
+            continue
+        for lo in combinations_with_replacement(free, d - k):
+            if ech.rank == len(monos):
+                break
+            ech.add({mono_id[tuple(sorted(mo + lo))]: v for mo, v in poly.items()})
+    basis = [i for i in range(len(monos)) if i not in ech.pivots]
+    pres._quotients[d] = (monos, ech, basis)
     return pres._quotients[d]
 
 
@@ -268,7 +350,7 @@ def hilbert_function(s_or_pres, dmax: int):
     _check_budget(pres, dmax)
     out = []
     for d in range(dmax + 1):
-        monos, rref_, basis = _quotient(pres, d)
+        _, _, basis = _quotient(pres, d)
         out.append(len(basis))
         if not basis:
             break
@@ -285,10 +367,12 @@ def product_in_quotient(s_or_pres, monomials):
     combined = tuple(sorted(i for mo in monomials for i in mo))
     d = len(combined)
     _check_budget(pres, d)
-    monos, rref_, basis = _quotient(pres, d)
+    monos, ech, basis = _quotient(pres, d)
     mono_id = {mo: i for i, mo in enumerate(monos)}
-    vec = rref_.reduce({mono_id[combined]: Fraction(1)})
-    coords = {monos[i]: v for i, v in vec.items()}
+    _, images, _ = _substitution(pres)
+    poly, den = _image(images, combined)
+    vec, mult = ech.reduce({mono_id[mo]: v for mo, v in poly.items()})
+    coords = {monos[i]: v / (mult * den) for i, v in vec.items()}
     return coords, [monos[i] for i in basis]
 
 

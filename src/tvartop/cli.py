@@ -108,6 +108,8 @@ def cmd_invariants(args, out):
 
 def cmd_chow(args, out):
     started = time.perf_counter()
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ParseError(f"--max-degree must be nonnegative, got {args.max_degree}")
     doc, digest = _load_json(args.path)
     fan, _ = parse_fan_document(doc)
     pres = chow.presentation(fan)

@@ -383,9 +383,13 @@ def _cone_is_unimodular(c: Cone) -> bool:
 
 
 def is_smooth(t: PolyhedralComplex) -> bool:
-    """Every maximal Cayley cone simplicial with unimodular generators."""
-    fan = cayley_fan(t)
-    return all(_cone_is_unimodular(c) for c in fan.maximal_cones)
+    """Every maximal Cayley cone simplicial with unimodular generators.
+
+    The maximal Cayley cones are those of the maximal cells: the Cayley cone
+    of a face of a cell is a face of the cell's, and faces of unimodular
+    cones are unimodular.
+    """
+    return all(_cone_is_unimodular(cayley_cone_of_polyhedron(c)) for c in t.maximal_cells)
 
 
 def bouquet_components(t: PolyhedralComplex):

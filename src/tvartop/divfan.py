@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 
 from .complexes import PolyhedralComplex
 from .errors import (
@@ -366,24 +366,28 @@ class ValidationReport:
         return "valid" if self.ok else "; ".join(self.issues)
 
 
-def _face_sets(d: PDivisor, labels):
-    """The ray set of the tail and, per label, the vertex set of the
-    coefficient (empty for an empty coefficient)."""
-    return frozenset(d.tail.rays), {p: frozenset(d.coefficient(p).vertices) for p in labels}
+def _face_signatures(members, labels):
+    """Per member, the ray set of the tail and, per label, the vertex set of
+    the coefficient (empty for an empty coefficient), each as a bit mask
+    over the rays and vertices that occur.  The canonical tail and
+    coefficients are built from exactly these sets, so two members are
+    equal iff their signatures are."""
+    bits = {}
+
+    def mask(slot, items):
+        out = 0
+        for x in items:
+            out |= 1 << bits.setdefault((slot, x), len(bits))
+        return out
+
+    return [(mask(None, d.tail.rays),) + tuple(mask(p, d.coefficient(p).vertices) for p in labels)
+            for d in members]
 
 
-def _face_meet(a, b, n) -> PDivisor:
-    """The coefficient-wise intersection of two members, from their
-    ``_face_sets``, when their tails and their coefficients at each label
-    meet in common faces: the direct construction of
-    ``Polyhedron.face_polyhedron``, with no polyhedral kernel call."""
-    (rays_a, verts_a), (rays_b, verts_b) = a, b
-    tail = Cone(n, rays_a & rays_b, ())
-    coeffs = {}
-    for p, vs in verts_a.items():
-        common = vs & verts_b[p]
-        coeffs[p] = Polyhedron(n, common, tail) if common else Polyhedron.empty(n)
-    return PDivisor(tail, coeffs)
+def _signature_meet(a, b):
+    """Signature of the coefficient-wise intersection of two members whose
+    tails, and whose coefficients at each label, meet in common faces."""
+    return tuple(map(int.__and__, a, b))
 
 
 def validate(s: DivisorialFan) -> ValidationReport:
@@ -398,14 +402,15 @@ def validate(s: DivisorialFan) -> ValidationReport:
     here is the necessary combinatorial one; the open-embedding condition
     itself has no coefficient-level criterion.
 
-    Closure is then read off the face lattices, with no polyhedral
-    intersection (``_face_meet``).  If two cells a and b of a complex meet in
-    a common face, a ∩ b is a face of both: its vertices are the vertices of
+    Closure is then decided on face signatures (``_face_signatures``), with
+    no polyhedral intersection.  If two cells a and b of a complex meet in a
+    common face, a ∩ b is a face of both: its vertices are the vertices of
     a that are also vertices of b, and its recession cone, rec a ∩ rec b, is
     the common face of the tail fan with rays R_a ∩ R_b.  It is empty iff
     V_a ∩ V_b is, since every nonempty pointed polyhedron has a vertex.
-    Canonical data of a face is a subset of its cell's, so this builds the
-    canonical intersection.  When a slice is not a complex or some cell is
+    So the intersection of two members has the meet of their signatures as
+    its signature (``_signature_meet``), and it is a member iff that meet is
+    a member's signature.  When a slice is not a complex or some cell is
     not a face, closure falls back to the exact ``pdiv_intersect``, so its
     issues stay true on fans that are already invalid.  Issues are listed
     as properness, closure, then face and slice.
@@ -419,28 +424,38 @@ def validate(s: DivisorialFan) -> ValidationReport:
             issues.append(f"member {i} is not a p-divisor: {rep}")
     face_issues = []
     try:
-        cells = [(trivial_polyhedron(d.tail), tail_fan(s), f"tail of member {i}")
-                 for i, d in enumerate(s.pdivisors)]
+        groups = [(tail_fan(s), [(trivial_polyhedron(d.tail), f"tail of member {i}")
+                                 for i, d in enumerate(s.pdivisors)])]
         for p in s.curve.marked_points:
-            cells += [(c, slice_at(s, p), f"coefficient of member {i} at {p!r}")
-                      for i, c in enumerate(d.coefficient(p) for d in s.pdivisors)
-                      if not c.is_empty]
-        for c, complex_, what in cells:
-            outer = next(m for m in complex_.maximal_cells if m.contains_polyhedron(c))
-            if not is_face_of(c, outer):
-                face_issues.append(f"{what} is not a face of a maximal cell containing it")
+            cells = [(c, f"coefficient of member {i} at {p!r}")
+                     for i, c in enumerate(d.coefficient(p) for d in s.pdivisors)
+                     if not c.is_empty]
+            if cells:
+                groups.append((slice_at(s, p), cells))
+        for complex_, cells in groups:
+            maximal = {m: m for m in complex_.maximal_cells}
+            for c, what in cells:
+                # no other cell of the complex contains a maximal one
+                outer = maximal.get(c)
+                if outer is None:
+                    outer = next(m for m in complex_.maximal_cells if m.contains_polyhedron(c))
+                if not is_face_of(c, outer):
+                    face_issues.append(f"{what} is not a face of a maximal cell containing it")
     except FanInvalid as exc:
         face_issues.append(f"slice is not a polyhedral complex: {exc}")
     if face_issues:
         operands = s.pdivisors
-        meet = pdiv_intersect
+        present = {d.key for d in operands}
+
+        def meet(a, b):
+            return pdiv_intersect(a, b).key
     else:
-        operands = [_face_sets(d, s.curve.marked_points) for d in s.pdivisors]
-        meet = partial(_face_meet, n=s.ambient_rank)
-    keys = {d.key for d in s.pdivisors}
+        operands = _face_signatures(s.pdivisors, s.curve.marked_points)
+        present = set(operands)
+        meet = _signature_meet
     for i in range(len(operands)):
         for j in range(i + 1, len(operands)):
-            if meet(operands[i], operands[j]).key not in keys:
+            if meet(operands[i], operands[j]) not in present:
                 issues.append(f"intersection of members {i} and {j} is missing (closure)")
     issues += face_issues
     report = ValidationReport(not issues, issues)

@@ -1,11 +1,30 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tvartop import fixtures
 from tvartop.complexes import PolyhedralComplex
 from tvartop.polyhedron import Polyhedron
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    """A benchmark module loaded by path, the file left unchanged.  It is
+    registered under its bare name, as the benchmark's modules import one
+    another."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    assert Path(sys.modules[name].__file__).resolve().parent == PERFBENCH
+    return sys.modules[name]
 
 
 def rand_complete_fan(rng, rank, pairs=None, bound=3):

@@ -9,15 +9,25 @@ projection off the lineality space) runs over Fractions.  It is the
 reference for the library's double-description enumerator: it finds each
 extreme ray as the kernel of d-1 independent rows, with no adjacency test,
 and the differential tests check that ``tvartop.polyhedron.rays_of_hcone``
-returns the same canonical (lineality, rays) pair.  Nothing here imports
-``tvartop.exactla``, the code under test.
+returns the same canonical (lineality, rays) pair.
+
+``_SparseRREF`` and ``_quotient`` at the end are the Chow elimination from
+before the integer rewrite of ``tvartop.chow``: the degree-d piece of
+Q[x]/(I + J) as a Fraction reduced row echelon form over all monomials in
+all generators, with the nonface monomials and every linear relation times
+every monomial of degree d - 1 as rows.  The differential tests check the
+library's Hilbert functions and normal forms against it.  ``_quotient``
+caches its result in ``pres._quotients``, so it needs a presentation of its
+own.  Nothing here imports ``tvartop.exactla`` or ``tvartop.chow``, the code
+under test.
 """
+
+from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
-
 
 
 def rref(rows):
@@ -201,3 +211,73 @@ def rays_of_hcone(ineqs, eqs, dim):
             r = _project_off(r, lin_amb)
         rays_amb.append(primitive(r))
     return lin_amb, tuple(sorted(set(rays_amb)))
+
+
+class _SparseRREF:
+    """Incremental reduced row echelon form over Q with dict rows."""
+
+    def __init__(self):
+        self.pivots = {}  # col -> row dict (normalized, reduced)
+
+    def reduce(self, row):
+        row = dict(row)
+        for col in sorted(row):
+            if row.get(col, 0) == 0:
+                continue
+            piv = self.pivots.get(col)
+            if piv is None:
+                continue
+            f = row[col]
+            for c, v in piv.items():
+                row[c] = row.get(c, 0) - f * v
+        return {c: v for c, v in row.items() if v != 0}
+
+    def add(self, row) -> bool:
+        row = self.reduce(row)
+        if not row:
+            return False
+        col = min(row)
+        inv = Fraction(1) / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for other in self.pivots.values():
+            f = other.get(col, 0)
+            if f:
+                for c, v in row.items():
+                    other[c] = other.get(c, 0) - f * v
+                for c in [c for c, v in other.items() if v == 0]:
+                    del other[c]
+        self.pivots[col] = row
+        return True
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+def _quotient(pres: ChowPresentation, d: int):
+    """(monomials, rref, basis monomial ids) of degree-d piece of the quotient."""
+    if d in pres._quotients:
+        return pres._quotients[d]
+    m = len(pres.generators)
+    monos = list(combinations_with_replacement(range(m), d))
+    mono_id = {mo: i for i, mo in enumerate(monos)}
+    rref_ = _SparseRREF()
+    nonface = [set(nf) for nf in pres.nonface_sets]
+    for mo in monos:
+        sup = set(mo)
+        if any(nf <= sup for nf in nonface):
+            rref_.add({mono_id[mo]: Fraction(1)})
+    if d >= 1:
+        lower = list(combinations_with_replacement(range(m), d - 1))
+        for rel in pres.linear_relations:
+            for lo in lower:
+                row = {}
+                for g, cg in enumerate(rel):
+                    if cg == 0:
+                        continue
+                    mo = tuple(sorted(lo + (g,)))
+                    row[mono_id[mo]] = row.get(mono_id[mo], 0) + cg
+                rref_.add(row)
+    basis = [i for i in range(len(monos)) if i not in rref_.pivots]
+    pres._quotients[d] = (monos, rref_, basis)
+    return pres._quotients[d]

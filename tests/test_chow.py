@@ -1,6 +1,11 @@
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
+
+import fraction_kernel
+from conftest import perfbench_module, rand_complete_fan
 
 from tvartop.chow import (
     hilbert_function,
@@ -9,9 +14,12 @@ from tvartop.chow import (
     product_in_quotient,
     specialization_matrix,
 )
-from tvartop.divfan import CurveData, DivisorialFan, PDivisor
+from tvartop import fixtures
+from tvartop.chow import GENERATOR_CAP
+from tvartop.divfan import CurveData, DivisorialFan, PDivisor, r0_fan, toric_downgrade
 from tvartop.errors import BudgetExceeded, GenusNotZero
 from tvartop.invariants import grothendieck_class_resolution
+from tvartop.io import parse_complex_document
 from tvartop.polyhedron import Cone, Polyhedron, mu
 
 
@@ -135,6 +143,54 @@ def test_hilbert_symmetry(fix_f2, fix_p1p1):
         hilb = hilbert_function(fan, n + 1)
         for d in range(n + 2):
             assert hilb[d] == hilb[n + 1 - d]
+
+
+def _reference_hilbert(pres, dmax):
+    out = []
+    for d in range(dmax + 1):
+        _, _, basis = fraction_kernel._quotient(pres, d)
+        out.append(len(basis))
+        if not basis:
+            break
+    return tuple(out) + (0,) * (dmax + 1 - len(out))
+
+
+def _reference_product(pres, monomial):
+    monos, rref_, basis = fraction_kernel._quotient(pres, len(monomial))
+    mono_id = {mo: i for i, mo in enumerate(monos)}
+    vec = rref_.reduce({mono_id[monomial]: F(1)})
+    return {monos[i]: v for i, v in vec.items()}, [monos[i] for i in basis]
+
+
+_CHOW_INPUTS = ["fix_a2", "fix_cstar", "fix_cstar2", "fix_torsion", "fix_f2", "fix_p1p1",
+                "fix_quadric", *(f"toric-stream-{k}" for k in range(6)),
+                *(f"r0-{k}" for k in range(4))]
+
+
+def _chow_input(name):
+    """A valid fan fixture, a toric-stream downgrade (seed 5) or an r0 fan."""
+    kind, _, k = name.rpartition("-")
+    if kind == "toric-stream":
+        text, _ = perfbench_module("toricgen").stream(5, int(k) + 1)[int(k)]
+        return toric_downgrade(parse_complex_document(json.loads(text)))
+    if kind == "r0":
+        rng = random.Random(4077 + int(k))
+        return r0_fan(rand_complete_fan(rng, 2, pairs=2))
+    return fixtures.load_fan(f"{name}.json")
+
+
+@pytest.mark.parametrize("name", _CHOW_INPUTS)
+def test_integer_elimination_matches_fraction_reference(name):
+    fan = _chow_input(name)
+    # the reference caches in pres._quotients: it gets a presentation of its own
+    pres, ref = presentation(fan), presentation(fan)
+    m = len(pres.generators)
+    assert m <= GENERATOR_CAP
+    dmax = fan.ambient_rank + 1
+    assert hilbert_function(pres, dmax) == _reference_hilbert(ref, dmax)
+    for i in range(m):
+        for j in range(i, m):
+            assert product_in_quotient(pres, [[i], [j]]) == _reference_product(ref, (i, j))
 
 
 # --- products ---------------------------------------------------------------------

@@ -116,6 +116,12 @@ def test_chow_budget_exit(tmp_path):
     assert code == EXIT_BUDGET
 
 
+def test_chow_negative_degree_is_parse_error(capsys):
+    code, text = run_cli(["chow", fixture_path("fix_f2.json"), "--max-degree", "-1"])
+    assert code == EXIT_PARSE and text == ""
+    assert capsys.readouterr().err == "parse error: --max-degree must be nonnegative, got -1\n"
+
+
 def test_chow_generator_cap_exit(tmp_path):
     # a long chain slice: 2 rays + 13 slice vertices + 2 generic = 17 generators
     from tvartop.divfan import (

@@ -2,8 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import json
+
+from conftest import perfbench_module
+from tvartop import fixtures
 from tvartop.complexes import (
     PolyhedralComplex,
+    _cone_is_unimodular,
     bouquet_components,
     cayley_fan,
     f_vector,
@@ -272,6 +277,24 @@ def test_shifted_halfline_not_smooth():
 
 def test_p2_fan_smooth():
     assert is_smooth(p2_fan())
+
+
+def test_is_smooth_matches_cayley_fan(random_complete_pool):
+    # the maximal cones of the whole Cayley fan, closed under faces
+    from tvartop.divfan import slice_at
+    from tvartop.io import parse_complex_document
+
+    pool = list(random_complete_pool)
+    pool += [fixtures.load_complex(f"{name}.json")
+             for name in ("fix_chain", "fan_f2", "fan_p1p1", "fan_p2")]
+    pool += [parse_complex_document(json.loads(text))
+             for text, _ in perfbench_module("toricgen").stream(14, 6)]
+    pool += [slice_at(fixtures.load_fan("fix_quadric.json"), p) for p in ("p1", "p2", "p3")]
+    verdicts = []
+    for t in pool:
+        verdicts.append(is_smooth(t))
+        assert verdicts[-1] == all(_cone_is_unimodular(c) for c in cayley_fan(t).maximal_cones)
+    assert True in verdicts and False in verdicts
 
 
 # --- bouquet components -----------------------------------------------------------

@@ -14,8 +14,8 @@ from tvartop.divfan import (
     CurveData,
     DivisorialFan,
     PDivisor,
-    _face_meet,
-    _face_sets,
+    _face_signatures,
+    _signature_meet,
     closure_under_intersection,
     contracted_partition,
     degree,
@@ -421,9 +421,13 @@ def test_face_meet_matches_intersect(case):
     for f, g in pairs:
         a, b = p.face_polyhedron(f), p.face_polyhedron(g)
         da, db = PDivisor(a.tail, {"p": a}), PDivisor(b.tail, {"p": b})
-        meet = _face_meet(_face_sets(da, ("p",)), _face_sets(db, ("p",)), p.ambient_rank)
-        assert meet.coefficient("p").key == intersect(a, b).key
-        assert meet.key == pdiv_intersect(da, db).key
+        exact = intersect(a, b)
+        # an empty exact meet has the zero tail: only its coefficient compares
+        x = PDivisor(exact.tail, {"p": exact})
+        sig_a, sig_b, sig_x, sig_ab = _face_signatures([da, db, x, pdiv_intersect(da, db)], ("p",))
+        meet = _signature_meet(sig_a, sig_b)
+        assert meet == sig_ab
+        assert meet[1] == sig_x[1] and (exact.is_empty or meet[0] == sig_x[0])
 
 
 def test_coefficient_at_unmarked_label_is_rejected():

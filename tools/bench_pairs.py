@@ -20,10 +20,14 @@ whether the median gap exceeds the parent's interquartile range, and whether
 the change is worse than the metric's bound.  ``sources`` names each side's
 commit (when its tree is a git checkout) and the digest of its ``src/``.
 ``compare_py`` is the table ``perfbench/compare.py`` prints for the same
-runs.  With ``--traced K``, K traced quadric runs per side (alternating as
+runs.  An untraced run that is not ``correct``, on either side, prints its
+unexpected failures (request id and reason) and failed self-checks, and
+the script exits 1 without writing the output.  With ``--traced K``, K traced quadric runs per side (alternating as
 above) follow, and ``traced_quadric`` keeps the call counts and times of the
 kernel layers from the last run of each side that passed every self-check
-(the last run when none did), with every attempt's ``correct`` flag.
+(the last run when none did), with every attempt's ``correct`` flag; a
+traced attempt that is not ``correct`` is only recorded there, as the
+traced self-checks (``chow_coverage``) can fail on a sound run.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ SIDES = ("parent", "change")
 TRACED = [
     "polyhedron.rays_of_hcone.calls", "polyhedron.rays_of_hcone.total_s",
     "polyhedron.rays_of_hcone.self_s", "exactla.rank_and_kernel.calls",
-    "exactla.rref.calls", "polyhedron.intersect.calls", "divfan.validate.total_s",
-    "complexes.PolyhedralComplex.total_s", "chow.hilbert_function.total_s",
-    "cli.main.total_s",
+    "exactla.rref.calls", "polyhedron.intersect.calls", "polyhedron.is_face_of.calls",
+    "polyhedron.Polyhedron.from_points_rays.calls", "divfan.validate.total_s",
+    "divfan.validate.self_s", "complexes.PolyhedralComplex.total_s",
+    "chow.hilbert_function.total_s", "chow.hilbert_function.self_s", "cli.main.total_s",
 ]
 
 
@@ -68,16 +73,33 @@ def run(tree, workload, seed, seconds, trace):
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def alternating(trees, count, *args):
-    """count runs per side, parent first in odd rounds and change first in even."""
+def require_correct(side, result):
+    """Print why a run is not ``correct`` and exit 1; return if it is."""
+    if result["correct"]:
+        return
+    for f in result["failures"]:
+        if f["known"] is None:
+            print(f"{side} {result['workload']}: unexpected failure {f['id']}: {f['reason']}",
+                  file=sys.stderr)
+    for name, check in result["selfcheck"].items():
+        if not check["ok"]:
+            print(f"{side} {result['workload']}: self-check {name} failed", file=sys.stderr)
+    sys.exit(1)
+
+
+def alternating(trees, count, workload, seed, seconds, trace):
+    """count runs per side, parent first in odd rounds and change first in even.
+    An untraced run that is not ``correct`` ends the comparison with exit 1."""
     runs = {side: [] for side in SIDES}
     for i in range(count):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run(trees[side], *args))
-            r = runs[side][-1]
-            print(f"{args[0]} {i + 1}/{count} {side}: correct={r['correct']} "
+            r = run(trees[side], workload, seed, seconds, trace)
+            runs[side].append(r)
+            print(f"{workload} {i + 1}/{count} {side}: correct={r['correct']} "
                   f"failed={r['failed']}/{r['attempted']}", flush=True)
+            if trace == 0:
+                require_correct(side, r)
     return runs
 
 
