@@ -190,8 +190,15 @@ def cmd_downgrade(args, out):
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command-line error as a ParseError, like a document error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tvartop",
         description="Invariants of complexity-one torus varieties from divisorial fans",
     )
@@ -219,8 +226,8 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

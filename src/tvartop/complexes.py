@@ -20,7 +20,6 @@ from .polyhedron import (
     dot,
     intersect,
     is_face_of,
-    mu,
     qvec,
     vsub,
 )
@@ -182,15 +181,12 @@ def is_complete(t: PolyhedralComplex) -> bool:
 
 
 def is_simplicial(t: PolyhedralComplex) -> bool:
-    """Cell-wise simpliciality via the cones over the cells at height one.
+    """Cell-wise simpliciality via the homogenization cones of the cells.
 
     A cell needs exactly dim+1 generators there (vertices plus tail rays);
     a square cell lifts to a 4-ray cone in rank 3 and fails.
     """
-    for cell in t.maximal_cells:
-        if len(cell.vertices) + len(cell.tail.rays) != cell.dim() + 1:
-            return False
-    return True
+    return all(len(cell.hcone.rays) == cell.dim() + 1 for cell in t.maximal_cells)
 
 
 class ShellingData:
@@ -205,17 +201,10 @@ class ShellingData:
 
 
 def _cell_face_data(t):
-    """Per maximal cell: list of (face polyhedron, vertex/ray index sets)."""
-    data = []
-    for cell in t.maximal_cells:
-        entries = []
-        for desc in cell.faces():
-            entries.append(
-                (cell.face_polyhedron(desc), frozenset(desc.vertex_subset),
-                 frozenset(desc.ray_subset), desc)
-            )
-        data.append(entries)
-    return data
+    """Per maximal cell: list of (face polyhedron, generator index set, descriptor)."""
+    return [[(cell.face_polyhedron(desc), frozenset(desc.generators), desc)
+             for desc in cell.faces()]
+            for cell in t.maximal_cells]
 
 
 def _new_face_check(t, face_data, order_prefix, i):
@@ -224,16 +213,12 @@ def _new_face_check(t, face_data, order_prefix, i):
     cell_idx = order_prefix[i]
     earlier = [t.maximal_cells[j] for j in order_prefix[:i]]
     new = []
-    for fp, vs, rs, desc in face_data[cell_idx]:
-        if any(c.contains_polyhedron(fp) for c in earlier):
-            continue
-        new.append((fp, vs, rs, desc))
+    for entry in face_data[cell_idx]:
+        if not any(c.contains_polyhedron(entry[0]) for c in earlier):
+            new.append(entry)
     if not new:
         return None
-    minimal = [
-        a for a in new
-        if not any(b is not a and b[1] <= a[1] and b[2] <= a[2] for b in new)
-    ]
+    minimal = [a for a in new if not any(b is not a and b[1] <= a[1] for b in new)]
     if len(minimal) != 1:
         return None
     return minimal[0]
@@ -253,7 +238,7 @@ def verify_shelling(t: PolyhedralComplex, order):
         got = _new_face_check(t, face_data, order, i)
         if got is None:
             return None
-        out.append((order[i], got[0], got[3]))
+        out.append((order[i], got[0], got[2]))
     return out
 
 
@@ -351,13 +336,7 @@ class CayleyFan:
 
 def cayley_cone_of_polyhedron(p: Polyhedron) -> Cone:
     """Cone over (p, 1) and (tail(p), 0) in one extra rank."""
-    gens = []
-    for v in p.vertices:
-        m = mu(v)
-        gens.append(tuple(int(x * m) for x in v) + (m,))
-    for r in p.tail.rays:
-        gens.append(tuple(r) + (0,))
-    return Cone.from_generators(p.ambient_rank + 1, gens)
+    return Cone.from_generators(p.ambient_rank + 1, p.cayley_generators())
 
 
 def cayley_fan(t: PolyhedralComplex) -> CayleyFan:
@@ -369,7 +348,7 @@ def cayley_fan(t: PolyhedralComplex) -> CayleyFan:
         # close under faces of the cone
         cp = c.as_polyhedron()
         for desc in cp.faces():
-            sub = Cone(n1, tuple(cp.tail.rays[j] for j in desc.ray_subset), ())
+            sub = cp.face_polyhedron(desc).tail
             cones[sub.key] = sub
     return CayleyFan(n1, cones.values())
 

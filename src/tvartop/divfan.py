@@ -32,7 +32,6 @@ from .polyhedron import (
     minkowski_sum,
     qvec,
     rays_of_hcone,
-    trivial_polyhedron,
 )
 
 
@@ -69,7 +68,7 @@ class PDivisor:
                 raise ValueError(f"coefficient at {label!r} has a different tail cone")
             coeffs[label] = poly
         self.coefficients = coeffs
-        trivial = trivial_polyhedron(tail)
+        trivial = tail.as_polyhedron()
         nontrivial = tuple(sorted(
             (label, poly.key) for label, poly in coeffs.items() if poly != trivial
         ))
@@ -83,7 +82,7 @@ class PDivisor:
     def coefficient(self, label) -> Polyhedron:
         """Coefficient at a label; unlisted labels default to the tail cone."""
         got = self.coefficients.get(label)
-        return trivial_polyhedron(self.tail) if got is None else got
+        return self.tail.as_polyhedron() if got is None else got
 
     def has_complete_locus(self) -> bool:
         return not any(p.is_empty for p in self.coefficients.values())
@@ -92,7 +91,7 @@ class PDivisor:
         return sorted(l for l, p in self.coefficients.items() if p.is_empty)
 
     def nontrivial_labels(self):
-        trivial = trivial_polyhedron(self.tail)
+        trivial = self.tail.as_polyhedron()
         return sorted(l for l, p in self.coefficients.items()
                       if not p.is_empty and p != trivial)
 
@@ -167,7 +166,7 @@ def degree(d: PDivisor) -> Polyhedron:
         if not d.has_complete_locus():
             d._degree = Polyhedron.empty(d.ambient_rank)
         else:
-            trivial = trivial_polyhedron(d.tail)
+            trivial = d.tail.as_polyhedron()
             parts = [poly for _, poly in sorted(d.coefficients.items()) if poly != trivial]
             d._degree = reduce(minkowski_sum, parts) if parts else trivial
     return d._degree
@@ -243,7 +242,7 @@ def excluded_points(s: DivisorialFan):
 def tail_fan(s: DivisorialFan) -> PolyhedralComplex:
     """Fan of tail cones (FanInvalid if they do not meet in faces)."""
     if "tail" not in s._slices:
-        cells = [trivial_polyhedron(d.tail) for d in s.pdivisors]
+        cells = [d.tail.as_polyhedron() for d in s.pdivisors]
         s._slices["tail"] = PolyhedralComplex(s.ambient_rank, cells)
     return s._slices["tail"]
 
@@ -329,7 +328,7 @@ def contracted_partition(s: DivisorialFan):
 
 def pdiv_intersect(a: PDivisor, b: PDivisor) -> PDivisor:
     """Coefficient-wise intersection."""
-    tail_poly = intersect(trivial_polyhedron(a.tail), trivial_polyhedron(b.tail))
+    tail_poly = intersect(a.tail.as_polyhedron(), b.tail.as_polyhedron())
     tail = tail_poly.tail
     coeffs = {}
     for label in sorted(set(a.coefficients) | set(b.coefficients)):
@@ -424,7 +423,7 @@ def validate(s: DivisorialFan) -> ValidationReport:
             issues.append(f"member {i} is not a p-divisor: {rep}")
     face_issues = []
     try:
-        groups = [(tail_fan(s), [(trivial_polyhedron(d.tail), f"tail of member {i}")
+        groups = [(tail_fan(s), [(d.tail.as_polyhedron(), f"tail of member {i}")
                                  for i, d in enumerate(s.pdivisors)])]
         for p in s.curve.marked_points:
             cells = [(c, f"coefficient of member {i} at {p!r}")

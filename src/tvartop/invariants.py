@@ -35,7 +35,7 @@ from .errors import (
     NotSimplicial,
     ValidationFailed,
 )
-from .polyhedron import Cone, mu, trivial_polyhedron
+from .polyhedron import Cone
 
 
 class EPolynomial:
@@ -194,6 +194,23 @@ def grothendieck_class_resolution(s: DivisorialFan) -> EPolynomial:
     return total
 
 
+def _chart_cone(d) -> Cone:
+    """The toric chart cone of a complete-locus member with at most two
+    nontrivial coefficients: they sit at heights +1 and -1 (with fewer than
+    two, the trivial coefficient takes height -1) over the tail at height 0."""
+    special = d.nontrivial_labels()
+    heights = {}
+    if special:
+        heights[special[0]] = 1
+    if len(special) == 2:
+        heights[special[1]] = -1
+    else:
+        heights[None] = -1  # no label: the trivial coefficient
+    # each coefficient's generators include the rays of d.tail at height 0
+    gens = [g for label, h in heights.items() for g in d.coefficient(label).cayley_generators(h)]
+    return Cone.from_generators(d.ambient_rank + 1, gens)
+
+
 def chart_smoothness(s: DivisorialFan):
     """Per-chart smoothness certificate for X(S).
 
@@ -204,7 +221,6 @@ def chart_smoothness(s: DivisorialFan):
     """
     warnings = []
     certified = True
-    n = s.ambient_rank
     for idx, d in enumerate(s.pdivisors):
         if d.has_complete_locus():
             special = d.nontrivial_labels()
@@ -215,25 +231,7 @@ def chart_smoothness(s: DivisorialFan):
                 )
                 certified = False
                 continue
-            gens = []
-            heights = {}
-            if special:
-                heights[special[0]] = 1
-            if len(special) == 2:
-                heights[special[1]] = -1
-            else:
-                heights[None] = -1  # trivial coefficient on the opposite side
-            for label, h in heights.items():
-                poly = d.coefficient(label) if label is not None else trivial_polyhedron(d.tail)
-                for v in poly.vertices:
-                    m = mu(v)
-                    gens.append(tuple(int(x * m) for x in v) + (m * h,))
-                for r in poly.tail.rays:
-                    gens.append(tuple(r) + (0,))
-            for r in d.tail.rays:
-                gens.append(tuple(r) + (0,))
-            cone = Cone.from_generators(n + 1, gens)
-            if not _cone_is_unimodular(cone):
+            if not _cone_is_unimodular(_chart_cone(d)):
                 warnings.append(f"member {idx}: chart cone is singular")
                 certified = False
         else:

@@ -127,7 +127,7 @@ def serialize_fan_document(s, flags=None):
     members = []
     for d in sorted(s.pdivisors, key=lambda d: d.key):
         coeffs = {}
-        trivial = divfan.trivial_polyhedron(d.tail)
+        trivial = d.tail.as_polyhedron()
         for label in sorted(d.coefficients):
             poly = d.coefficients[label]
             if poly == trivial:

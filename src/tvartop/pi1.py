@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .divfan import DivisorialFan, PDivisor, excluded_points
-from .errors import NotApplicable
 from .exactla import saturated_basis, smith_normal_form
 from .polyhedron import is_zero, primitive, qvec, vsub
 
@@ -133,33 +132,3 @@ def fundamental_group(s: DivisorialFan, log_terminal_attested: bool = False) -> 
     metadata and recorded, never verified.
     """
     return Pi1Description(group_NS(s), pi1_loc(s), log_terminal_attested)
-
-
-@dataclass(frozen=True)
-class FixedPointReport:
-    applicable: bool
-    criterion_verdict: bool
-    computed: Pi1Description
-
-    @property
-    def simply_connected(self) -> bool:
-        return self.criterion_verdict and self.computed.is_trivial
-
-    @property
-    def agree(self) -> bool:
-        return self.criterion_verdict == self.computed.is_trivial
-
-
-def is_simply_connected_fixed_point(s: DivisorialFan) -> FixedPointReport:
-    """Unique-fixed-point criterion: a complete-locus member with
-    full-dimensional tail cone forces simple connectedness.
-
-    Raises NotApplicable when no member satisfies the hypothesis; the direct
-    computation is returned alongside as a cross-check.
-    """
-    n = s.ambient_rank
-    if not any(d.has_complete_locus() and d.tail.dim == n for d in s.pdivisors):
-        raise NotApplicable(
-            "no member has complete locus and full-dimensional tail cone"
-        )
-    return FixedPointReport(True, True, fundamental_group(s))

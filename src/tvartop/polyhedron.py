@@ -1,26 +1,33 @@
-"""Exact rational cones and polyhedra in N_Q, in V-representation.
+"""Exact rational cones, and polyhedra stored as their homogenization cones.
 
-A polyhedron is conv(vertices) + cone(rays); the empty polyhedron is a
-distinguished per-rank value.  Every nonempty polyhedron is decoded from
-the canonical generators of its homogenization cone, so equality of point
-sets is equality of the stored data.  V-data (``from_points_rays``) goes
-V -> H -> V: one ray enumeration for the H-rep, one more for the canonical
-generators.  H-data goes through the one decoder, ``_from_hcone``, after a
+A ``Cone`` is held by canonical primitive integer generators: the extreme
+rays of its pointed part and a basis of its lineality space, in the form
+``rays_of_hcone`` returns, so equal cones have equal data.  Its H-rep is the
+same enumeration run on the generators, and ``Cone`` holds the only H-rep
+and containment code.
+
+A polyhedron P in N_Q is stored as its homogenization cone, the closure of
+cone{(1, x) : x in P} in Q x N_Q, with t first and inside t >= 0 (Ziegler,
+"Lectures on Polytopes", ch. 1).  A canonical generator (m, m*v) with m > 0
+is a vertex v of P and a generator (0, r) is a ray of its tail cone; the
+empty polyhedron is the zero cone.  ``vertices`` (``Fraction`` tuples) and
+``tail`` are read off the generators once, at construction; dimension,
+containment, faces, intersection and the face relation are questions about
+the cone.  V-data (``from_points_rays``) goes V -> H -> V through
+``Cone.from_generators``.  H-data goes through ``_from_hcone`` after a
 single ray enumeration; ``intersect`` feeds it the union of the operands'
-H-reps and leaves the result's own H-rep to be computed on demand by
-``hrep()``.  All arithmetic is exact.
+H-reps and leaves the result's own H-rep to be computed on demand.  All
+arithmetic is exact.
 
 The kernel works on primitive integer rows only: ray enumeration scales
 every input row to a primitive integer vector and takes kernels, ranks and
 the projection off the lineality space by fraction-free elimination
-(``exactla.rref``, ``exactla.rank_and_kernel``); membership and tightness
-tests dot the integer H-rows against integer homogenized generators.
+(``exactla.rref``, ``exactla.rank_and_kernel``).
 Extreme rays are found by double description (Motzkin et al. 1953;
 Fukuda-Prodon 1996): start from the simplicial cone of d independent rows
 and cut by the other rows one at a time, joining adjacent rays across each
 cut.  It needs one elimination per cone, where enumerating (d-1)-row
-subsets needs one per subset.  Vertices are stored as ``Fraction`` tuples,
-rays and H-rows as int tuples.
+subsets needs one per subset.
 """
 
 from __future__ import annotations
@@ -64,27 +71,16 @@ def mu(v) -> int:
     return lcm(*(Fraction(x).denominator for x in v))
 
 
-def _scaled(v) -> Vec:
-    """The integer vector m*v for the least positive integer m making it one."""
-    if all(type(x) is int for x in v):
-        return tuple(v)
-    w = [Fraction(x) for x in v]
-    m = lcm(*(x.denominator for x in w))
-    return tuple(x.numerator * (m // x.denominator) for x in w)
-
-
-def _homogenized(v) -> Vec:
-    """(m, m*v) for the least positive integer m making it integral."""
-    return _scaled((1,) + tuple(v))
-
-
 def primitive(v) -> Vec:
     """Scale a nonzero rational vector to a primitive integer vector."""
-    ints = _scaled(v)
-    g = gcd(*ints)
+    if not all(type(x) is int for x in v):
+        v = [Fraction(x) for x in v]
+        m = lcm(*(x.denominator for x in v))
+        v = [x.numerator * (m // x.denominator) for x in v]
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 def _int_rows(rows):
@@ -209,22 +205,20 @@ class Cone:
     the derived ``is_pointed`` flag.
     """
 
-    __slots__ = ("ambient_rank", "_pointed_rays", "_lineality", "_dual", "key")
+    __slots__ = ("ambient_rank", "_pointed_rays", "_lineality", "_hrep", "key")
 
-    def __init__(self, ambient_rank, pointed_rays, lineality, _dual=None):
+    def __init__(self, ambient_rank, pointed_rays, lineality, _hrep=None):
         self.ambient_rank = ambient_rank
         self._pointed_rays = tuple(sorted(pointed_rays))
         self._lineality = tuple(sorted(lineality))
-        self._dual = _dual
+        self._hrep = _hrep
         self.key = (ambient_rank, self._pointed_rays, self._lineality)
 
     @classmethod
     def from_generators(cls, ambient_rank, generators) -> "Cone":
-        dlin, drays = rays_of_hcone(generators, [], ambient_rank)
-        plin, prays = rays_of_hcone(drays, dlin, ambient_rank)
-        cone = cls(ambient_rank, prays, plin)
-        cone._dual = (dlin, drays)
-        return cone
+        hrep = rays_of_hcone(generators, [], ambient_rank)
+        lin, rays = rays_of_hcone(hrep[1], hrep[0], ambient_rank)
+        return cls(ambient_rank, rays, lin, hrep)
 
     @property
     def rays(self):
@@ -248,29 +242,23 @@ class Cone:
 
     def hrep(self):
         """(equalities, inequalities): x in cone iff <e,x>=0 and <a,x>>=0."""
-        if self._dual is None:
-            self._dual = rays_of_hcone(self.rays, [], self.ambient_rank)
-        return self._dual
-
-    def dual(self) -> "Cone":
-        dlin, drays = self.hrep()
-        return Cone.from_generators(
-            self.ambient_rank,
-            list(drays) + [l for v in dlin for l in (v, tuple(-x for x in v))],
-        )
+        if self._hrep is None:
+            self._hrep = rays_of_hcone(self.rays, [], self.ambient_rank)
+        return self._hrep
 
     def contains(self, v) -> bool:
+        """Membership of a rational vector (integer or ``Fraction`` entries)."""
         eqs, ineqs = self.hrep()
-        v = _scaled(v)
         return all(_idot(e, v) == 0 for e in eqs) and all(_idot(a, v) >= 0 for a in ineqs)
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(r) for r in other.rays)
 
     def as_polyhedron(self) -> "Polyhedron":
-        return Polyhedron(
-            self.ambient_rank, (tuple(Fraction(0) for _ in range(self.ambient_rank)),), self
-        )
+        """The polyhedron 0 + self: the trivial coefficient with this tail."""
+        n = self.ambient_rank
+        return Polyhedron(Cone(n + 1, [(1,) + (0,) * n] + [(0,) + r for r in self._pointed_rays],
+                               [(0,) + l for l in self._lineality]))
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self.key == other.key
@@ -283,49 +271,50 @@ class Cone:
 
 
 class FaceDescriptor:
-    """A face of a polyhedron, by the vertex/ray indices it contains."""
+    """A face of a polyhedron, by the indices of the homogenization cone's
+    generators that lie on it."""
 
-    __slots__ = ("vertex_subset", "ray_subset", "dim")
+    __slots__ = ("generators", "dim")
 
-    def __init__(self, vertex_subset, ray_subset, dim):
-        self.vertex_subset = tuple(sorted(vertex_subset))
-        self.ray_subset = tuple(sorted(ray_subset))
+    def __init__(self, generators, dim):
+        self.generators = tuple(sorted(generators))
         self.dim = dim
 
     def __eq__(self, other):
-        return (self.vertex_subset, self.ray_subset) == (other.vertex_subset, other.ray_subset)
+        return self.generators == other.generators
 
     def __hash__(self):
-        return hash((self.vertex_subset, self.ray_subset))
+        return hash(self.generators)
 
     def __repr__(self):
-        return f"Face(v={self.vertex_subset}, r={self.ray_subset}, dim={self.dim})"
+        return f"Face(gens={self.generators}, dim={self.dim})"
 
 
 class Polyhedron:
-    """conv(vertices) + tail cone, canonical after construction.
+    """conv(vertices) + tail cone, stored as its homogenization cone ``hcone``.
 
-    For polyhedra whose recession cone has lineality, ``vertices`` holds the
+    ``vertices`` and ``tail`` are decoded from the cone's generators.  For
+    polyhedra whose recession cone has lineality, ``vertices`` holds the
     canonical representative points (minimal faces) in the orthogonal
     complement of the lineality space.
     """
 
-    __slots__ = ("ambient_rank", "vertices", "tail", "is_empty", "_hrep", "_hgens", "_faces",
-                 "key")
+    __slots__ = ("ambient_rank", "hcone", "vertices", "tail", "is_empty", "_faces", "key")
 
-    def __init__(self, ambient_rank, vertices, tail, is_empty=False, _hrep=None):
-        self.ambient_rank = ambient_rank
-        self.vertices = tuple(sorted(vertices))
-        self.tail = tail
-        self.is_empty = is_empty
-        self._hrep = _hrep
-        self._hgens = None
+    def __init__(self, hcone: Cone):
+        n = hcone.ambient_rank - 1
+        gens = hcone._pointed_rays
+        self.ambient_rank = n
+        self.hcone = hcone
+        self.vertices = tuple(sorted(tuple(Fraction(x, g[0]) for x in g[1:]) for g in gens if g[0]))
+        self.tail = Cone(n, [g[1:] for g in gens if not g[0]], [l[1:] for l in hcone.lineality])
+        self.is_empty = not self.vertices
         self._faces = None
-        self.key = (ambient_rank, self.vertices, tail.key if tail is not None else None, is_empty)
+        self.key = (n, self.vertices, self.tail.key, self.is_empty)
 
     @classmethod
     def empty(cls, ambient_rank) -> "Polyhedron":
-        return cls(ambient_rank, (), Cone(ambient_rank, (), ()), is_empty=True)
+        return cls(Cone(ambient_rank + 1, (), ()))
 
     @classmethod
     def from_points_rays(cls, ambient_rank, points, rays) -> "Polyhedron":
@@ -334,79 +323,47 @@ class Polyhedron:
             raise ValueError("a nonempty polyhedron needs at least one point; use Polyhedron.empty")
         if any(len(p) != ambient_rank for p in pts) or any(len(r) != ambient_rank for r in rays):
             raise RankMismatch("generator length does not match ambient rank")
-        gens = [_homogenized(p) for p in pts] + [(0,) + tuple(r) for r in rays]
-        heqs, hineqs = rays_of_hcone(gens, [], ambient_rank + 1)
-        return cls._from_hrep_data(ambient_rank, heqs, hineqs)
+        gens = [(1,) + p for p in pts] + [(0,) + tuple(r) for r in rays]
+        return cls(Cone.from_generators(ambient_rank + 1, gens))
 
     @classmethod
     def _from_hrep_data(cls, ambient_rank, heqs, hineqs):
         # t >= 0 is implicit in dual-derived H-reps but not in synthesized ones
         hineqs = list(hineqs) + [(1,) + (0,) * ambient_rank]
-        p = cls._from_hcone(ambient_rank, *rays_of_hcone(hineqs, heqs, ambient_rank + 1))
-        if not p.is_empty:
-            p._hrep = (heqs, hineqs)
-        return p
+        return cls._from_hcone(ambient_rank, *rays_of_hcone(hineqs, heqs, ambient_rank + 1),
+                               (heqs, hineqs))
 
     @classmethod
-    def _from_hcone(cls, ambient_rank, lin, gens):
+    def _from_hcone(cls, ambient_rank, lin, gens, hrep=None):
         """The polyhedron whose homogenization cone has the canonical
-        generators (lin, gens) of ``rays_of_hcone``; empty unless every
-        generator has t >= 0, every lineality vector t = 0, and some
-        generator t > 0."""
-        if any(l[0] for l in lin) or any(g[0] < 0 for g in gens):
+        generators (lin, gens) of ``rays_of_hcone`` and the H-rep ``hrep``
+        (computed on demand when None); the cone must lie in t >= 0, and the
+        polyhedron is empty unless some generator has t > 0."""
+        if not any(g[0] for g in gens):
             return cls.empty(ambient_rank)
-        verts = [tuple(Fraction(x, g[0]) for x in g[1:]) for g in gens if g[0]]
-        if not verts:
-            return cls.empty(ambient_rank)
-        tail = Cone(ambient_rank, [g[1:] for g in gens if not g[0]], [l[1:] for l in lin])
-        return cls(ambient_rank, verts, tail)
+        return cls(Cone(ambient_rank + 1, gens, lin, hrep))
 
     def hrep(self):
         """Homogeneous H-rep: rows (a, u) with a + <u, x> >= 0 (or = 0)."""
-        if self._hrep is None:
-            vgens, rgens = self.hgens()
-            self._hrep = rays_of_hcone(vgens + rgens, [], self.ambient_rank + 1)
-        return self._hrep
-
-    def hgens(self):
-        """(vertex generators, ray generators) of the homogenization cone, as
-        integer vectors (m, m*v) and (0, r), one per vertex and per ray."""
-        if self._hgens is None:
-            self._hgens = ([_homogenized(v) for v in self.vertices],
-                           [(0,) + r for r in self.tail.rays])
-        return self._hgens
-
-    @property
-    def rays(self):
-        return self.tail.rays
+        return self.hcone.hrep()
 
     def dim(self) -> int:
-        if self.is_empty:
-            return -1
-        vgens, rgens = self.hgens()
-        return _rank(vgens + rgens) - 1
+        return self.hcone.dim - 1
 
     def contains(self, x) -> bool:
-        if self.is_empty:
-            return False
-        return self._satisfied_by([_homogenized(x)])
-
-    def _satisfied_by(self, gens) -> bool:
-        """True iff every integer homogenized generator satisfies the H-rep."""
-        eqs, ineqs = self.hrep()
-        return all(_idot(e, g) == 0 for g in gens for e in eqs) and \
-            all(_idot(a, g) >= 0 for g in gens for a in ineqs)
+        return self.hcone.contains((1,) + tuple(x))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        vgens, rgens = other.hgens()
-        return self._satisfied_by(vgens + rgens)
+        return self.hcone.contains_cone(other.hcone)
+
+    def cayley_generators(self, height=1):
+        """Generators of the cone over (self, height) and (tail, 0) in one
+        extra rank: the homogenization cone's, with t moved last and scaled
+        by the height."""
+        return [g[1:] + (height * g[0],) for g in self.hcone.rays]
 
     def faces(self):
-        """All faces (self included), as FaceDescriptors into vertices/rays."""
+        """All faces (self included), as FaceDescriptors into ``hcone.rays``."""
         if self.is_empty:
             raise EmptyInput("the empty polyhedron has no face lattice here")
         if not self.tail.is_pointed:
@@ -414,40 +371,27 @@ class Polyhedron:
         if self._faces is not None:
             return self._faces
         _, ineqs = self.hrep()
-        vgens, rgens = self.hgens()
-        nv, nr = len(vgens), len(rgens)
-        tightv = []
-        tightr = []
-        for a in ineqs:
-            tightv.append(frozenset(i for i, g in enumerate(vgens) if _idot(a, g) == 0))
-            tightr.append(frozenset(j for j, g in enumerate(rgens) if _idot(a, g) == 0))
-        full = (frozenset(range(nv)), frozenset(range(nr)))
+        gens = self.hcone.rays
+        tight = [frozenset(i for i, g in enumerate(gens) if _idot(a, g) == 0) for a in ineqs]
+        full = frozenset(range(len(gens)))
         seen = {full}
         queue = [full]
         while queue:
-            vs, rs = queue.pop()
-            for tv, tr in zip(tightv, tightr):
-                nvs, nrs = vs & tv, rs & tr
-                if not nvs:
-                    continue
-                if (nvs, nrs) not in seen:
-                    seen.add((nvs, nrs))
-                    queue.append((nvs, nrs))
-        out = []
-        for vs, rs in seen:
-            d = _rank([vgens[i] for i in vs] + [rgens[j] for j in rs]) - 1
-            out.append(FaceDescriptor(vs, rs, d))
-        out.sort(key=lambda f: (f.dim, f.vertex_subset, f.ray_subset))
+            gs = queue.pop()
+            for t in tight:
+                face = gs & t
+                # the faces of the cone that leave t = 0 are those of the polyhedron
+                if face not in seen and any(gens[i][0] for i in face):
+                    seen.add(face)
+                    queue.append(face)
+        out = [FaceDescriptor(gs, _rank([gens[i] for i in gs]) - 1) for gs in seen]
+        out.sort(key=lambda f: (f.dim, f.generators))
         self._faces = out
         return out
 
     def face_polyhedron(self, desc: FaceDescriptor) -> "Polyhedron":
-        verts = tuple(self.vertices[i] for i in desc.vertex_subset)
-        rays = tuple(self.tail.rays[j] for j in desc.ray_subset)
-        return Polyhedron(self.ambient_rank, verts, Cone(self.ambient_rank, rays, ()))
-
-    def face_polyhedra(self):
-        return [self.face_polyhedron(f) for f in self.faces()]
+        gens = self.hcone.rays
+        return Polyhedron(Cone(self.ambient_rank + 1, [gens[i] for i in desc.generators], ()))
 
     def __eq__(self, other):
         return isinstance(other, Polyhedron) and self.key == other.key
@@ -461,17 +405,6 @@ class Polyhedron:
         vs = [tuple(str(x) for x in v) for v in self.vertices]
         rs = [tuple(map(int, r)) for r in self.tail.rays]
         return f"Polyhedron(verts={vs}, rays={rs})"
-
-
-def tail_cone(p: Polyhedron) -> Cone:
-    """Recession cone of a nonempty polyhedron."""
-    if p.is_empty:
-        raise EmptyInput("tail cone of the empty polyhedron")
-    return p.tail
-
-
-def dual_cone(c: Cone) -> Cone:
-    return c.dual()
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -499,8 +432,7 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
         return hit
     peq, pin = p.hrep()
     qeq, qin = q.hrep()
-    vgens, rgens = p.hgens()
-    if q._satisfied_by(vgens + rgens):
+    if q.contains_polyhedron(p):
         out = p
     else:
         n = p.ambient_rank
@@ -516,43 +448,13 @@ def is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
         raise RankMismatch("is_face_of over different ambient ranks")
     if f.is_empty:
         return True
-    if p.is_empty:
-        return False
-    if not p.contains_polyhedron(f):
+    if p.is_empty or not p.contains_polyhedron(f):
         return False
     _, ineqs = p.hrep()
-    fv, fr = f.hgens()
-    fgens = fv + fr
+    fgens = f.hcone.rays
     tight = [a for a in ineqs if all(_idot(a, g) == 0 for g in fgens)]
-    pv, pr = p.hgens()
-    verts = tuple(v for v, g in zip(p.vertices, pv) if all(_idot(a, g) == 0 for a in tight))
-    rays = tuple(r for r, g in zip(p.tail.rays, pr) if all(_idot(a, g) == 0 for a in tight))
-    return sorted(verts) == list(f.vertices) and sorted(rays) == list(f.tail.rays)
-
-
-def normal_fan(p: Polyhedron):
-    """Cones of linearity of u -> min_{v in p} <u, v>, one per face of p.
-
-    Returned in the same order as p.faces(); together they cover the dual
-    of the tail cone.
-    """
-    if p.is_empty:
-        raise EmptyInput("normal fan of the empty polyhedron")
-    n = p.ambient_rank
-    cones = []
-    for desc in p.faces():
-        v0 = p.vertices[desc.vertex_subset[0]]
-        eqs, ineqs = [], []
-        for i, v in enumerate(p.vertices):
-            d = vsub(v, v0)
-            if is_zero(d):
-                continue
-            (eqs if i in desc.vertex_subset else ineqs).append(d)
-        for j, r in enumerate(p.tail.rays):
-            (eqs if j in desc.ray_subset else ineqs).append(qvec(r))
-        lin, rays = rays_of_hcone(ineqs, eqs, n)
-        cones.append(Cone(n, rays, lin))
-    return cones
+    face = [g for g in p.hcone.rays if all(_idot(a, g) == 0 for a in tight)]
+    return sorted(face) == sorted(fgens)
 
 
 def cone_meets_polyhedron(c: Cone, p: Polyhedron) -> bool:
@@ -560,8 +462,3 @@ def cone_meets_polyhedron(c: Cone, p: Polyhedron) -> bool:
     if c.ambient_rank != p.ambient_rank:
         raise RankMismatch("cone and polyhedron in different ambient ranks")
     return not intersect(c.as_polyhedron(), p).is_empty
-
-
-def trivial_polyhedron(c: Cone) -> Polyhedron:
-    """The polyhedron 0 + c (the trivial coefficient for tail cone c)."""
-    return c.as_polyhedron()

@@ -10,7 +10,7 @@ tails and on every label.  The differential tests check that
 
 from tvartop.divfan import ValidationReport, is_pdivisor, pdiv_intersect, slice_at, tail_fan
 from tvartop.errors import FanInvalid
-from tvartop.polyhedron import is_face_of, trivial_polyhedron
+from tvartop.polyhedron import is_face_of
 
 
 def validate(s):
@@ -32,9 +32,9 @@ def validate(s):
             common = pdiv_intersect(a, b)
             if common.key not in keys:
                 issues.append(f"intersection of members {i} and {j} is missing (closure)")
-            at = trivial_polyhedron(a.tail)
-            bt = trivial_polyhedron(b.tail)
-            ct = trivial_polyhedron(common.tail)
+            at = a.tail.as_polyhedron()
+            bt = b.tail.as_polyhedron()
+            ct = common.tail.as_polyhedron()
             if not (is_face_of(ct, at) and is_face_of(ct, bt)):
                 issues.append(f"tails of members {i} and {j} do not meet in a common face")
             for label in labels:

@@ -122,6 +122,27 @@ def test_chow_negative_degree_is_parse_error(capsys):
     assert capsys.readouterr().err == "parse error: --max-degree must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["chow", "F2", "--max-degree", "x"], "argument --max-degree: invalid int value: 'x'"),
+    (["chow", "F2", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
+    (["bogus", "x"], "argument command: invalid choice: 'bogus'"),
+], ids=["max-degree", "format", "command"])
+def test_command_line_error_is_one_parse_error_line(capsys, args, message):
+    # argparse's wording of the allowed choices differs between Python versions
+    args = [fixture_path("fix_f2.json") if a == "F2" else a for a in args]
+    code, text = run_cli(args)
+    assert code == EXIT_PARSE and text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"parse error: {message}")
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chow", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tvartop chow")
+
+
 def test_chow_generator_cap_exit(tmp_path):
     # a long chain slice: 2 rays + 13 slice vertices + 2 generic = 17 generators
     from tvartop.divfan import (

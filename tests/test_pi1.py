@@ -5,13 +5,11 @@ import pytest
 from fraction_kernel import rank_and_kernel, rref, solve
 
 from tvartop.divfan import CurveData, DivisorialFan, PDivisor
-from tvartop.errors import NotApplicable
 from tvartop.pi1 import (
     FGAbelianGroup,
     LocPart,
     fundamental_group,
     group_NS,
-    is_simply_connected_fixed_point,
     lattice_ND,
     pi1_loc,
 )
@@ -284,21 +282,26 @@ def test_pi1_records_attestation(fix_a2):
 
 # --- fixed point criterion ---------------------------------------------------------------
 
+def _has_fixed_point_member(s):
+    """A member with complete locus and full-dimensional tail cone: the
+    unique-fixed-point criterion then forces simple connectedness."""
+    return any(d.has_complete_locus() and d.tail.dim == s.ambient_rank for d in s.pdivisors)
+
+
 def test_fixed_point_a2(fix_a2):
-    rep = is_simply_connected_fixed_point(fix_a2)
-    assert rep.simply_connected and rep.agree
+    assert _has_fixed_point_member(fix_a2)
+    assert fundamental_group(fix_a2).is_trivial
 
 
 def test_fixed_point_not_applicable(fix_cstar):
-    with pytest.raises(NotApplicable):
-        is_simply_connected_fixed_point(fix_cstar)
+    assert not _has_fixed_point_member(fix_cstar)
 
 
 def test_fixed_point_f2_member_alone(fix_f2):
     d = next(m for m in fix_f2.pdivisors if m.has_complete_locus())
     fan = DivisorialFan(fix_f2.curve, [d])
-    rep = is_simply_connected_fixed_point(fan)
-    assert rep.simply_connected and rep.agree
+    assert _has_fixed_point_member(fan)
+    assert fundamental_group(fan).is_trivial
 
 
 def test_group_render():

@@ -8,20 +8,17 @@ from hypothesis import strategies as st
 import fraction_kernel
 from conftest import rand_cone, rand_polytope
 from tvartop import polyhedron
-from tvartop.errors import EmptyInput, RankMismatch
+from tvartop.errors import RankMismatch
 from tvartop.polyhedron import (
     Cone,
     Polyhedron,
     cone_meets_polyhedron,
     dot,
-    dual_cone,
     intersect,
     is_face_of,
     minkowski_sum,
     mu,
-    normal_fan,
     rays_of_hcone,
-    tail_cone,
 )
 
 
@@ -33,25 +30,32 @@ def cone(rays, n=1):
     return Cone.from_generators(n, rays)
 
 
+def dual_cone(c):
+    """The dual cone, generated by the inequalities and both signs of the
+    equalities of c's H-rep (the double-dual oracle)."""
+    lin, rays = c.hrep()
+    return cone(list(rays) + [w for l in lin for w in (l, tuple(-x for x in l))],
+                n=c.ambient_rank)
+
+
+def face_polyhedra(p):
+    return [p.face_polyhedron(f) for f in p.faces()]
+
+
 # --- tail cone ---------------------------------------------------------
 
 def test_tail_cone_of_segment():
-    assert tail_cone(poly([(0,), (1,)])).rays == ()
+    assert poly([(0,), (1,)]).tail.rays == ()
 
 
 def test_tail_cone_of_shifted_ray():
-    assert tail_cone(poly([(1,)], [(1,)])).rays == ((1,),)
+    assert poly([(1,)], [(1,)]).tail.rays == ((1,),)
 
 
 def test_tail_cone_of_sum():
     square = poly([(0, 0), (1, 0), (0, 1), (1, 1)], n=2)
     quad = cone([(1, 0), (0, 1)], n=2).as_polyhedron()
-    assert tail_cone(minkowski_sum(square, quad)) == cone([(1, 0), (0, 1)], n=2)
-
-
-def test_tail_cone_empty_input():
-    with pytest.raises(EmptyInput):
-        tail_cone(Polyhedron.empty(1))
+    assert minkowski_sum(square, quad).tail == cone([(1, 0), (0, 1)], n=2)
 
 
 def test_vertex_irredundancy_at_construction():
@@ -119,56 +123,25 @@ def test_double_dual_random():
         assert dual_cone(dual_cone(c)) == c
 
 
-# --- faces and normal fans ---------------------------------------------
+# --- faces -------------------------------------------------------------
 
 def test_faces_of_segment():
     p = poly([(0,), (1,)])
     descs = p.faces()
-    polys = {q.key for q in p.face_polyhedra()}
+    polys = {q.key for q in face_polyhedra(p)}
     assert len(descs) == 3
     assert polys == {poly([(0,)]).key, poly([(1,)]).key, p.key}
 
 
 def test_faces_of_halfline():
     p = poly([(1,)], [(1,)])
-    assert {q.key for q in p.face_polyhedra()} == {poly([(1,)]).key, p.key}
+    assert {q.key for q in face_polyhedra(p)} == {poly([(1,)]).key, p.key}
 
 
 def test_faces_of_slice_segment():
     p = poly([(F(-1, 2),), (0,)])
-    keys = {q.key for q in p.face_polyhedra()}
+    keys = {q.key for q in face_polyhedra(p)}
     assert keys == {poly([(F(-1, 2),)]).key, poly([(0,)]).key, p.key}
-
-
-def test_normal_fan_of_segment():
-    p = poly([(0,), (1,)])
-    fans = {c.key for c in normal_fan(p)}
-    assert fans == {cone([(1,)]).key, cone([(-1,)]).key, cone([]).key}
-
-
-def test_normal_fan_of_point_is_whole_space():
-    p = poly([(0, 0)], n=2)
-    fans = normal_fan(p)
-    assert len(fans) == 1
-    assert not fans[0].is_pointed and fans[0].dim == 2
-
-
-def test_normal_fan_of_shifted_halfline():
-    p = poly([(1,)], [(1,)])
-    cones = {c.key for c in normal_fan(p)}
-    assert cones == {cone([(1,)]).key, cone([]).key}
-
-
-def test_face_normal_fan_duality_random():
-    rng = random.Random(23)
-    for _ in range(20):
-        p = rand_polytope(rng, 2)
-        faces = p.faces()
-        cones = normal_fan(p)
-        assert len(faces) == len(cones)
-        n = p.ambient_rank
-        for f, c in zip(faces, cones):
-            assert f.dim + c.dim == n
 
 
 # --- intersection ------------------------------------------------------
@@ -308,7 +281,7 @@ def test_intersect_matches_canonical_rebuild_and_union_hrep(pair):
     if r.is_empty:
         return
     if r is not p:
-        assert r._hrep is None  # the union H-rep is not stored on the result
+        assert r.hcone._hrep is None  # the union H-rep is not stored on the result
     assert Polyhedron.from_points_rays(n, r.vertices, r.tail.rays).key == r.key
     union = Polyhedron._from_hrep_data(n, list(peq) + list(qeq), list(pin) + list(qin))
     assert union.contains_polyhedron(r) and r.contains_polyhedron(union)

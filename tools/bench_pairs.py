@@ -25,9 +25,11 @@ unexpected failures (request id and reason) and failed self-checks, and
 the script exits 1 without writing the output.  With ``--traced K``, K traced quadric runs per side (alternating as
 above) follow, and ``traced_quadric`` keeps the call counts and times of the
 kernel layers from the last run of each side that passed every self-check
-(the last run when none did), with every attempt's ``correct`` flag; a
-traced attempt that is not ``correct`` is only recorded there, as the
-traced self-checks (``chow_coverage``) can fail on a sound run.
+(the last run when none did), and ``attempts`` lists every attempt's
+``correct`` flag, the names of its failed self-checks and its
+``chow_coverage`` numbers (``wall_s``, ``overhead_s``, ``uncovered_s``,
+``ok``); a traced attempt that is not ``correct`` is only recorded there, as
+the traced self-checks (``chow_coverage``) can fail on a sound run.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ TRACED = [
     "divfan.validate.self_s", "complexes.PolyhedralComplex.total_s",
     "chow.hilbert_function.total_s", "chow.hilbert_function.self_s", "cli.main.total_s",
 ]
+COVERAGE = ("wall_s", "overhead_s", "uncovered_s", "ok")
 
 
 def load_sweep(tree):
@@ -148,8 +151,18 @@ def traced(trees, count, seed, seconds):
         passing = [r for r in runs[side] if r["correct"]] or runs[side]
         metrics = passing[-1]["metrics"]
         out[side] = {k: round(metrics[k]["value"], 5) for k in TRACED if k in metrics}
-        out[side]["correct_per_attempt"] = [r["correct"] for r in runs[side]]
+        out[side]["attempts"] = [attempt(r) for r in runs[side]]
     return out
+
+
+def attempt(result):
+    """A traced run's verdict: correct, failed self-checks, chow coverage."""
+    coverage = result["selfcheck"].get("chow_coverage", {})
+    return {
+        "correct": result["correct"],
+        "failed_selfchecks": sorted(n for n, c in result["selfcheck"].items() if not c["ok"]),
+        "chow_coverage": {k: coverage[k] for k in COVERAGE if k in coverage},
+    }
 
 
 def main(argv=None):
