@@ -165,7 +165,10 @@ def parse_complex_document(doc):
         rays = [_int_vec(r, n, "ray") for r in _field(body, "rays", list, [], f"cells[{i}].rays")]
         if not verts:
             verts = [tuple(Fraction(0) for _ in range(n))]
-        cells.append(Polyhedron.from_points_rays(n, verts, rays))
+        cell = Polyhedron.from_points_rays(n, verts, rays)
+        if not cell.tail.is_pointed:
+            raise ParseError(f"cells[{i}]: recession cone must be pointed")
+        cells.append(cell)
     if not cells:
         raise ParseError("document has no cells")
     return complexes.PolyhedralComplex(n, cells)

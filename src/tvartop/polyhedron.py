@@ -4,7 +4,10 @@ A ``Cone`` is held by canonical primitive integer generators: the extreme
 rays of its pointed part and a basis of its lineality space, in the form
 ``rays_of_hcone`` returns, so equal cones have equal data.  Its H-rep is the
 same enumeration run on the generators, and ``Cone`` holds the only H-rep
-and containment code.
+and containment code.  ``Cone.from_generators`` runs that enumeration once
+and reads the extreme rays of a pointed cone off the generator-facet
+incidences (a face is the set of points tight on some facets); only a cone
+with lineality is enumerated again from its H-rep.
 
 A polyhedron P in N_Q is stored as its homogenization cone, the closure of
 cone{(1, x) : x in P} in Q x N_Q, with t first and inside t >= 0 (Ziegler,
@@ -13,11 +16,13 @@ is a vertex v of P and a generator (0, r) is a ray of its tail cone; the
 empty polyhedron is the zero cone.  ``vertices`` (``Fraction`` tuples) and
 ``tail`` are read off the generators once, at construction; dimension,
 containment, faces, intersection and the face relation are questions about
-the cone.  V-data (``from_points_rays``) goes V -> H -> V through
-``Cone.from_generators``.  H-data goes through ``_from_hcone`` after a
-single ray enumeration; ``intersect`` feeds it the union of the operands'
-H-reps and leaves the result's own H-rep to be computed on demand.  All
-arithmetic is exact.
+the cone.  V-data (``from_points_rays``) goes through
+``Cone.from_generators``: one enumeration for the H-rep, then incidences.
+The trivial polyhedron ``Cone.as_polyhedron`` lifts its tail's H-rep, when
+known, instead of enumerating its own.  H-data goes through
+``_from_hcone`` after a single ray enumeration; ``intersect`` feeds it the
+union of the operands' H-reps and leaves the result's own H-rep to be
+computed on demand.  All arithmetic is exact.
 
 The kernel works on primitive integer rows only: ray enumeration scales
 every input row to a primitive integer vector and takes kernels, ranks and
@@ -216,9 +221,26 @@ class Cone:
 
     @classmethod
     def from_generators(cls, ambient_rank, generators) -> "Cone":
-        hrep = rays_of_hcone(generators, [], ambient_rank)
-        lin, rays = rays_of_hcone(hrep[1], hrep[0], ambient_rank)
-        return cls(ambient_rank, rays, lin, hrep)
+        """The cone spanned by ``generators`` (integer or rational vectors).
+
+        One ray enumeration gives the H-rep.  A face is the set of points
+        tight on some facets, so the smallest face holding a generator g is
+        cut out by the facets tight at g, and another generator h lies in it
+        iff h is tight on all of them.  A generator tight on every facet lies
+        in the lineality space; only then is the canonical form enumerated
+        from the H-rep.  Otherwise the cone is pointed, and its extreme rays
+        are the distinct primitive generators whose face holds no other.
+        """
+        gens = _int_rows(generators)
+        eqs, ineqs = hrep = rays_of_hcone(gens, [], ambient_rank)
+        tight = [sum(1 << j for j, a in enumerate(ineqs) if not _idot(a, g)) for g in gens]
+        every_facet = (1 << len(ineqs)) - 1
+        if every_facet in tight:
+            lin, rays = rays_of_hcone(ineqs, eqs, ambient_rank)
+            return cls(ambient_rank, rays, lin, hrep)
+        rays = [g for i, (g, t) in enumerate(zip(gens, tight))
+                if not any(u & t == t for k, u in enumerate(tight) if k != i)]
+        return cls(ambient_rank, rays, (), hrep)
 
     @property
     def rays(self):
@@ -255,10 +277,20 @@ class Cone:
         return all(self.contains(r) for r in other.rays)
 
     def as_polyhedron(self) -> "Polyhedron":
-        """The polyhedron 0 + self: the trivial coefficient with this tail."""
+        """The polyhedron 0 + self: the trivial coefficient with this tail.
+
+        Its homogenization cone is [0, oo) x self.  When this cone's H-rep
+        is known, the lift's is read off it: each row with a 0 prepended,
+        and the row t >= 0.
+        """
         n = self.ambient_rank
+        hrep = None
+        if self._hrep is not None:
+            eqs, ineqs = self._hrep
+            hrep = (tuple((0,) + e for e in eqs),
+                    tuple((0,) + a for a in ineqs) + ((1,) + (0,) * n,))
         return Polyhedron(Cone(n + 1, [(1,) + (0,) * n] + [(0,) + r for r in self._pointed_rays],
-                               [(0,) + l for l in self._lineality]))
+                               [(0,) + l for l in self._lineality], hrep))
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self.key == other.key

@@ -300,6 +300,20 @@ def test_malformed_fan_document_is_parse_error(tmp_path, capsys, mutate, command
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("rank,cells,bad", [
+    (1, [{"vertices": [[0]], "rays": [[1], [-1]]}], 0),
+    (2, [{"rays": [[1, 0], [0, 1]]}, {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]]}], 1),
+], ids=["line", "plane"])
+@pytest.mark.parametrize("command", ["bouquet", "downgrade"])
+def test_complex_cell_with_lineality_is_parse_error(tmp_path, capsys, command, rank, cells, bad):
+    path = tmp_path / "lineality.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": rank, "cells": cells}))
+    code, text = run_cli([command, str(path)])
+    assert code == EXIT_PARSE and text == ""
+    err = capsys.readouterr().err
+    assert err == f"parse error: cells[{bad}]: recession cone must be pointed\n"
+
+
 # --- rank cap ------------------------------------------------------------------------
 
 _HUGE_FAN = {"schema_version": "1", "lattice_rank": 2000,

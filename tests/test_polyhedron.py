@@ -58,6 +58,19 @@ def test_tail_cone_of_sum():
     assert minkowski_sum(square, quad).tail == cone([(1, 0), (0, 1)], n=2)
 
 
+def test_trivial_polyhedron_lifts_the_tail_hrep():
+    rng = random.Random(20261021)
+    cones = [cone([], n=2), cone([(1, 0), (-1, 0), (0, 1), (0, -1)], n=2)]
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        cones.append(rand_cone(rng, n, max_rays=6, bound=3))
+    for c in cones:
+        h = c.as_polyhedron().hcone
+        assert h._hrep == rays_of_hcone(h.rays, [], c.ambient_rank + 1)
+    # a tail whose H-rep is unknown leaves the lift's to be enumerated on demand
+    assert Cone(2, [(1, 0)], ()).as_polyhedron().hcone._hrep is None
+
+
 def test_vertex_irredundancy_at_construction():
     p = poly([(1,), (2,)], [(1,)])
     assert p.vertices == ((F(1),),)

@@ -29,7 +29,8 @@ kernel layers from the last run of each side that passed every self-check
 ``correct`` flag, the names of its failed self-checks and its
 ``chow_coverage`` numbers (``wall_s``, ``overhead_s``, ``uncovered_s``,
 ``ok``); a traced attempt that is not ``correct`` is only recorded there, as
-the traced self-checks (``chow_coverage``) can fail on a sound run.
+the traced self-checks (``chow_coverage``) can fail on a sound run.  For each
+side the script prints how many traced attempts failed each self-check.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import json
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -47,7 +49,8 @@ TRACED = [
     "polyhedron.rays_of_hcone.calls", "polyhedron.rays_of_hcone.total_s",
     "polyhedron.rays_of_hcone.self_s", "exactla.rank_and_kernel.calls",
     "exactla.rref.calls", "polyhedron.intersect.calls", "polyhedron.is_face_of.calls",
-    "polyhedron.Polyhedron.from_points_rays.calls", "divfan.validate.total_s",
+    "polyhedron.Polyhedron.from_points_rays.calls", "polyhedron.Cone.from_generators.calls",
+    "polyhedron.Cone.from_generators.total_s", "divfan.validate.total_s",
     "divfan.validate.self_s", "complexes.PolyhedralComplex.total_s",
     "chow.hilbert_function.total_s", "chow.hilbert_function.self_s", "cli.main.total_s",
 ]
@@ -152,6 +155,10 @@ def traced(trees, count, seed, seconds):
         metrics = passing[-1]["metrics"]
         out[side] = {k: round(metrics[k]["value"], 5) for k in TRACED if k in metrics}
         out[side]["attempts"] = [attempt(r) for r in runs[side]]
+        failed = Counter(n for a in out[side]["attempts"] for n in a["failed_selfchecks"])
+        summary = ", ".join(f"{n} failed {k}/{count}" for n, k in sorted(failed.items()))
+        print(f"traced {side}: {summary or 'no self-check failed'} ({count} attempts)",
+              flush=True)
     return out
 
 
