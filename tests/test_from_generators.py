@@ -165,7 +165,7 @@ def test_matches_reference_on_toric_stream_downgrade_cones(monkeypatch, tmp_path
 @pytest.mark.parametrize("n,gens,enumerations", [
     (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 2, 0)], 1),
     (3, [(1, 0, 1), (0, 1, 1), (1, 1, 2), (F(1, 2), F(1, 2), 1)], 1),
-    (2, [(F(1, 3), F(2, 3))], 1),
+    (2, [(1, 2), (F(1, 3), F(2, 3))], 1),
     (2, [], 1),
     (1, [(1,), (-1,)], 2),
     (2, [(1, 0), (-1, 0), (0, 1)], 2),
