@@ -1,4 +1,11 @@
-"""Polyhedral complexes: face counts, shellings, Cayley fans, bouquets."""
+"""Polyhedral complexes: face counts, shellings, Cayley fans, bouquets.
+
+A complex keeps its maximal cells, found by comparing cells only with
+cells of at least their dimension.  Its cells must meet in common faces; a
+pair is first offered to ``polyhedron.facet_separates`` (a facet of one
+cell that the other lies behind), and only a pair that no facet settles is
+intersected exactly.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ from .polyhedron import (
     Cone,
     Polyhedron,
     dot,
+    facet_separates,
     intersect,
     is_face_of,
     qvec,
@@ -50,18 +58,30 @@ class PolyhedralComplex:
 
     Cells contained in another cell are dropped; the remaining ones must
     pairwise intersect in common faces (FanInvalid otherwise).
+
+    A cell can only lie in a cell of at least its dimension, so cells are
+    taken from the largest dimension down and each is compared with the
+    kept cells of larger dimension (a cell inside a dropped one is inside
+    the kept cell that holds it) and with the other cells of its own
+    dimension, as a cell can lie in another of equal dimension.  A pair of
+    kept cells is first offered to ``facet_separates``; only a pair no
+    facet settles is intersected exactly.
     """
 
     def __init__(self, ambient_rank, cells, check=True):
         self.ambient_rank = ambient_rank
-        unique = sorted({c for c in cells if not c.is_empty}, key=lambda p: p.key)
-        kept = [
-            c for c in unique
-            if not any(d != c and d.contains_polyhedron(c) for d in unique)
-        ]
+        by_dim = {}
+        for c in {c for c in cells if not c.is_empty}:
+            by_dim.setdefault(c.dim(), []).append(c)
+        kept = []
+        for dim in sorted(by_dim, reverse=True):
+            same = by_dim[dim]
+            kept += [c for c in same
+                     if not any(d.contains_polyhedron(c) for d in kept)
+                     and not any(d is not c and d.contains_polyhedron(c) for d in same)]
         if not kept:
             raise ValueError("a complex needs at least one nonempty cell")
-        self.maximal_cells = tuple(kept)
+        self.maximal_cells = tuple(sorted(kept, key=lambda p: p.key))
         self._poset = None
         self.key = tuple(c.key for c in self.maximal_cells)
         if check:
@@ -71,6 +91,8 @@ class PolyhedralComplex:
         cells = self.maximal_cells
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
+                if facet_separates(cells[i], cells[j]) or facet_separates(cells[j], cells[i]):
+                    continue
                 common = intersect(cells[i], cells[j])
                 if common.is_empty:
                     continue

@@ -3,6 +3,13 @@
 Rationals are encoded as integers or "p/q" strings.  Serialization is
 canonical (sorted members, reduced rationals, trivial coefficients
 omitted), so equal objects give equal documents.
+
+A fan document is read in full before any cone is built.  Its tails, and
+the homogenization cones of its coefficients, then go to
+``polyhedron.cones_from_generators``: in a divisorial fan each member is,
+coefficient by coefficient, a face of a maximal member, so most of them are
+read off the tight rows of a cone already enumerated, with the same keys as
+an enumeration of each.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from fractions import Fraction
 
 from . import complexes, divfan
 from .errors import BudgetExceeded, ParseError
-from .polyhedron import Cone, Polyhedron
+from .polyhedron import Polyhedron, cones_from_generators
 
 RANK_CAP = 16
 
@@ -68,6 +75,33 @@ def _field(obj, key, kind, default, what):
     return v
 
 
+def _member_generators(pd, i, n, points):
+    """(tail generators, {label: homogenization cone generators, or None
+    for an empty coefficient}) of the member ``pd``, i its index."""
+    if not isinstance(pd, dict):
+        raise ParseError(f"pdivisors[{i}] must be an object")
+    tail = [_int_vec(r, n, f"pdivisors[{i}] tail ray")
+            for r in _field(pd, "tail", list, [], f"pdivisors[{i}].tail")]
+    coeffs = {}
+    for label, body in _field(pd, "coefficients", dict, {},
+                              f"pdivisors[{i}].coefficients").items():
+        if label not in points:
+            raise ParseError(f"pdivisors[{i}] uses unknown point {label!r}")
+        if body == "empty":
+            coeffs[label] = None
+            continue
+        if not isinstance(body, dict):
+            raise ParseError(f"pdivisors[{i}] coefficient at {label!r} malformed")
+        what = f"pdivisors[{i}] coefficient at {label!r}"
+        verts = [_rat_vec(v, n, "vertex")
+                 for v in _field(body, "vertices", list, [], f"{what} vertices")]
+        rays = [_int_vec(r, n, "ray") for r in _field(body, "rays", list, [], f"{what} rays")]
+        if not verts:
+            raise ParseError(f"{what} has no vertices")
+        coeffs[label] = [(1,) + v for v in verts] + [(0,) + r for r in rays]
+    return tail, coeffs
+
+
 def parse_fan_document(doc):
     """FanDocument -> (DivisorialFan, flags dict)."""
     if not isinstance(doc, dict):
@@ -86,34 +120,27 @@ def parse_fan_document(doc):
         curve_data = divfan.CurveData(genus, tuple(points))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    raw, error = [], None
+    try:
+        for i, pd in enumerate(_field(doc, "pdivisors", list, [], "pdivisors")):
+            raw.append(_member_generators(pd, i, n, points))
+    except ParseError as exc:
+        error = exc
+    # a malformed member is reported after the members before it are built
+    # and checked, as when each member was built as it was read
+    tails = iter(cones_from_generators(n, [tail for tail, _ in raw]))
+    hcones = iter(cones_from_generators(
+        n + 1, [gens for _, coeffs in raw for gens in coeffs.values() if gens is not None]))
     members = []
-    for i, pd in enumerate(_field(doc, "pdivisors", list, [], "pdivisors")):
-        if not isinstance(pd, dict):
-            raise ParseError(f"pdivisors[{i}] must be an object")
-        tail_rays = _field(pd, "tail", list, [], f"pdivisors[{i}].tail")
-        tail = Cone.from_generators(n, [_int_vec(r, n, f"pdivisors[{i}] tail ray")
-                                        for r in tail_rays])
-        coeffs = {}
-        coefficients = _field(pd, "coefficients", dict, {}, f"pdivisors[{i}].coefficients")
-        for label, body in coefficients.items():
-            if label not in points:
-                raise ParseError(f"pdivisors[{i}] uses unknown point {label!r}")
-            if body == "empty":
-                coeffs[label] = Polyhedron.empty(n)
-                continue
-            if not isinstance(body, dict):
-                raise ParseError(f"pdivisors[{i}] coefficient at {label!r} malformed")
-            what = f"pdivisors[{i}] coefficient at {label!r}"
-            verts = [_rat_vec(v, n, "vertex")
-                     for v in _field(body, "vertices", list, [], f"{what} vertices")]
-            rays = [_int_vec(r, n, "ray") for r in _field(body, "rays", list, [], f"{what} rays")]
-            if not verts:
-                raise ParseError(f"{what} has no vertices")
-            coeffs[label] = Polyhedron.from_points_rays(n, verts, rays)
+    for i, (_, coeffs) in enumerate(raw):
+        coeffs = {label: Polyhedron.empty(n) if gens is None else Polyhedron(next(hcones))
+                  for label, gens in coeffs.items()}
         try:
-            members.append(divfan.PDivisor(tail, coeffs))
+            members.append(divfan.PDivisor(next(tails), coeffs))
         except ValueError as exc:
             raise ParseError(f"pdivisors[{i}]: {exc}") from exc
+    if error is not None:
+        raise error
     if not members:
         raise ParseError("document has no p-divisors")
     flags = doc.get("flags", {})

@@ -24,9 +24,18 @@ known, instead of enumerating its own.  H-data goes through
 union of the operands' H-reps and leaves the result's own H-rep to be
 computed on demand.  All arithmetic is exact.
 
-The kernel works on primitive integer rows only: ray enumeration scales
-every input row to a primitive integer vector and takes kernels, ranks and
-the projection off the lineality space by fraction-free elimination
+Most cones of a fan are faces of a few: ``cones_from_generators`` takes
+generator lists from the most generators to the fewest and reads each as a
+face of a pointed cone already enumerated when it can
+(``Cone.face_spanned_by``: the rows tight on every generator cut out the
+smallest face holding them, which they span iff its rays are among them).
+``facet_separates`` certifies that two polyhedra meet in a common face when
+a facet of one has the other behind it, with no exact intersection.
+
+The kernel works on integer rows only: ray enumeration scales each row
+with a non-integer entry to a primitive integer vector, uses integer rows
+as given, and takes kernels, ranks and the projection off the lineality
+space by fraction-free elimination
 (``exactla.rref``, ``exactla.rank_and_kernel``).
 Extreme rays are found by double description (Motzkin et al. 1953;
 Fukuda-Prodon 1996): start from the simplicial cone of d independent rows
@@ -91,6 +100,13 @@ def primitive(v) -> Vec:
 def _int_rows(rows):
     """Distinct primitive integer forms of the nonzero rows, in order."""
     return list(dict.fromkeys(primitive(row) for row in rows if any(row)))
+
+
+def _integral(rows):
+    """The nonzero rows as integer vectors: a row with a non-integer entry
+    scaled to its primitive form, an integer row as it is."""
+    return [row if all(type(x) is int for x in row) else primitive(row)
+            for row in rows if any(row)]
 
 
 def _rank(rows) -> int:
@@ -162,10 +178,13 @@ def rays_of_hcone(ineqs, eqs, dim):
     Returns (lineality basis, rays), both canonical primitive integer tuples:
     the lineality basis is the primitive form of the RREF basis of the
     lineality space, and the rays are the sorted extreme rays of the cone
-    projected orthogonally off the lineality space.
+    projected orthogonally off the lineality space.  Rows may be rational;
+    integer rows are used as given, as the result does not depend on their
+    scale, order or repetition, so callers that hold canonical H-reps or
+    generators pay no normalization.
     """
-    ineqs = _int_rows(ineqs)
-    eqs = _int_rows(eqs)
+    ineqs = _integral(ineqs)
+    eqs = _integral(eqs)
     if eqs:
         _, w_basis = rank_and_kernel(eqs, dim)
         if not w_basis:
@@ -242,8 +261,38 @@ class Cone:
                 if not any(u & t == t for k, u in enumerate(tight) if k != i)]
         return cls(ambient_rank, rays, (), hrep)
 
+    def face_spanned_by(self, gens):
+        """The face of this pointed cone spanned by ``gens`` (primitive
+        integer vectors), or None when they span no face of it.
+
+        The rows of the H-rep tight on every generator cut out the smallest
+        face F holding them (a face is the set of points tight on some
+        facets).  Their span is F iff every extreme ray of F is among them.
+        F then gets its rays with no enumeration, and a valid H-rep: this
+        cone's equalities and the tight rows as equalities, the other rows
+        as inequalities.  The rays, and so the key, are the ones
+        ``from_generators`` gives.
+        """
+        eqs, ineqs = self.hrep()
+        if any(_idot(e, g) for e in eqs for g in gens):
+            return None
+        tight, loose = [], []
+        for a in ineqs:
+            vals = [_idot(a, g) for g in gens]
+            if any(v < 0 for v in vals):
+                return None
+            (loose if any(vals) else tight).append(a)
+        rays = [r for r in self._pointed_rays if not any(_idot(a, r) for a in tight)]
+        if not set(rays) <= set(gens):
+            return None
+        if not tight:
+            return self
+        return Cone(self.ambient_rank, rays, (), (tuple(eqs) + tuple(tight), tuple(loose)))
+
     @property
     def rays(self):
+        if not self._lineality:
+            return self._pointed_rays
         out = list(self._pointed_rays)
         for l in self._lineality:
             out.append(l)
@@ -300,6 +349,35 @@ class Cone:
 
     def __repr__(self):
         return f"Cone({self.ambient_rank}, rays={[tuple(map(int, r)) for r in self.rays]})"
+
+
+def cones_from_generators(ambient_rank, generator_lists):
+    """``Cone.from_generators`` of each generator list, in order, reading
+    every list it can as a face of a cone already enumerated.
+
+    The lists are taken from the most generators to the fewest.  Each is
+    matched (``Cone.face_spanned_by``) against the pointed cones enumerated
+    so far, in that order, so largest first; a list that spans a face of
+    none of them is enumerated and joins them.  Repeated lists are read
+    once.  In a divisorial fan most members are, coefficient by coefficient,
+    faces of the maximal ones, so few lists are enumerated.
+    """
+    pool = []
+    built = {}
+    out = [None] * len(generator_lists)
+    for i in sorted(range(len(generator_lists)), key=lambda i: -len(generator_lists[i])):
+        gens = tuple(generator_lists[i])
+        cone = built.get(gens)
+        if cone is None:
+            rows = _int_rows(gens)
+            cone = next(filter(None, (p.face_spanned_by(rows) for p in pool)), None)
+            if cone is None:
+                cone = Cone.from_generators(ambient_rank, rows)
+                if cone.is_pointed:
+                    pool.append(cone)
+            built[gens] = cone
+        out[i] = cone
+    return out
 
 
 class FaceDescriptor:
@@ -487,6 +565,29 @@ def is_face_of(f: Polyhedron, p: Polyhedron) -> bool:
     tight = [a for a in ineqs if all(_idot(a, g) == 0 for g in fgens)]
     face = [g for g in p.hcone.rays if all(_idot(a, g) == 0 for a in tight)]
     return sorted(face) == sorted(fgens)
+
+
+def facet_separates(p: Polyhedron, q: Polyhedron) -> bool:
+    """True when an inequality row a of p's H-rep certifies that p and q
+    meet in a common face (or not at all).
+
+    a >= 0 on p; if also a <= 0 on q's generators, then p and q meet inside
+    the hyperplane a = 0, in the meet of p's face and q's face on it.  That
+    meet is empty when no generator of q with t > 0 is tight on a, and it is
+    the face itself when both faces have the same generators.  False means
+    only that no row settles the pair.
+    """
+    qgens = q.hcone.rays
+    for a in p.hrep()[1]:
+        vals = [_idot(a, g) for g in qgens]
+        if any(v > 0 for v in vals):
+            continue
+        qface = {g for g, v in zip(qgens, vals) if not v}
+        if not any(g[0] for g in qface):
+            return True
+        if qface == {g for g in p.hcone.rays if not _idot(a, g)}:
+            return True
+    return False
 
 
 def cone_meets_polyhedron(c: Cone, p: Polyhedron) -> bool:

@@ -51,7 +51,8 @@ TRACED = [
     "exactla.rref.calls", "polyhedron.intersect.calls", "polyhedron.is_face_of.calls",
     "polyhedron.Polyhedron.from_points_rays.calls", "polyhedron.Cone.from_generators.calls",
     "polyhedron.Cone.from_generators.total_s", "divfan.validate.total_s",
-    "divfan.validate.self_s", "complexes.PolyhedralComplex.total_s",
+    "divfan.validate.self_s", "cli.parse_fan_document.total_s",
+    "complexes.PolyhedralComplex.calls", "complexes.PolyhedralComplex.total_s",
     "chow.hilbert_function.total_s", "chow.hilbert_function.self_s", "cli.main.total_s",
 ]
 COVERAGE = ("wall_s", "overhead_s", "uncovered_s", "ok")
