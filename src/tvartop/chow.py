@@ -35,7 +35,6 @@ from .errors import (
     BudgetExceeded,
     GenusNotZero,
     NotShellable,
-    NotShellableSlice,
     NotSimplicial,
     SearchBudgetExceeded,
     ValidationFailed,
@@ -78,14 +77,6 @@ class ChowPresentation:
     @property
     def ambient_rank(self):
         return self.fan.ambient_rank
-
-    def generator_index(self, kind, **fields):
-        for i, g in enumerate(self.generators):
-            if g.kind != kind:
-                continue
-            if all(getattr(g, k) == v for k, v in fields.items()):
-                return i
-        raise KeyError(f"no {kind} generator with {fields}")
 
 
 def _generic_labels(curve):
@@ -389,11 +380,8 @@ class SpecializationMap:
 
 
 def _shelling_faces(complex_):
-    try:
-        data = find_shelling(complex_)
-    except (NotShellable, SearchBudgetExceeded) as exc:
-        raise NotShellableSlice(str(exc)) from exc
-    return [g for _, g, _ in data.minimal_new_faces]
+    """The poset entries of the G_i of a shelling of ``complex_``."""
+    return [f for _, _, f in find_shelling(complex_).minimal_new_faces]
 
 
 def specialization_matrix(s: DivisorialFan, p) -> SpecializationMap:
@@ -408,18 +396,14 @@ def specialization_matrix(s: DivisorialFan, p) -> SpecializationMap:
     target = source if sp == tf else _shelling_faces(sp)
     rows = []
     for g in target:
-        if len(g.vertices) != 1:
-            raise NotSimplicial(
-                f"slice face over {p!r} has {len(g.vertices)} vertices"
-            )
-        row = []
-        for f in source:
-            if g.tail == f.tail and g.dim() == f.dim():
-                row.append(mu(g.vertices[0]))
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return SpecializationMap(tuple(source), tuple(target), tuple(rows))
+        verts = g.polyhedron.vertices
+        if len(verts) != 1:
+            raise NotSimplicial(f"slice face over {p!r} has {len(verts)} vertices")
+        v = mu(verts[0])
+        rows.append(tuple(v if (g.dim, g.polyhedron.tail) == (f.dim, f.polyhedron.tail) else 0
+                          for f in source))
+    return SpecializationMap(tuple(f.polyhedron for f in source),
+                             tuple(g.polyhedron for g in target), tuple(rows))
 
 
 @dataclass
@@ -437,12 +421,12 @@ def is_shellable_divfan(s: DivisorialFan) -> ShellabilityReport:
     reasons = []
     try:
         _shelling_faces(tail_fan(s))
-    except NotShellableSlice as exc:
+    except (NotShellable, SearchBudgetExceeded) as exc:
         return ShellabilityReport(False, [f"tail fan: {exc}"])
     for p in slice_support(s):
         try:
             m = specialization_matrix(s, p)
-        except (NotShellableSlice, NotSimplicial) as exc:
+        except (NotShellable, SearchBudgetExceeded, NotSimplicial) as exc:
             reasons.append(f"slice at {p!r}: {exc}")
             continue
         if not m.has_full_column_rank():

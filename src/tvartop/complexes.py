@@ -5,6 +5,13 @@ cells of at least their dimension.  Its cells must meet in common faces; a
 pair is first offered to ``polyhedron.facet_separates`` (a facet of one
 cell that the other lies behind), and only a pair that no facet settles is
 intersected exactly.
+
+Shellings are read off the face poset (``faces``), which lists for each
+face the maximal cells it is a face of.  As cells meet in common faces, a
+face of one cell lies in another iff it is a face of it: a face is new in a
+cell when no earlier cell is among its cells, faces of one cell compare by
+their canonical generator sets, and i(F) is the first position of one of
+F's cells.  No polyhedron is rebuilt or tested for containment per order.
 """
 
 from __future__ import annotations
@@ -222,45 +229,41 @@ class ShellingData:
         self.face_index = face_index
 
 
-def _cell_face_data(t):
-    """Per maximal cell: list of (face polyhedron, generator index set, descriptor)."""
-    return [[(cell.face_polyhedron(desc), frozenset(desc.generators), desc)
-             for desc in cell.faces()]
-            for cell in t.maximal_cells]
+def _cell_faces(t):
+    """Per maximal cell: its faces in the poset, each with its generator set."""
+    out = [[] for _ in t.maximal_cells]
+    for f in t.faces():
+        gens = frozenset(f.polyhedron.hcone.rays)
+        for ci in f.cells:
+            out[ci].append((f, gens))
+    return out
 
 
-def _new_face_check(t, face_data, order_prefix, i):
-    """Faces of cell order_prefix[i] not inside earlier cells; returns the
-    unique minimal one or None."""
-    cell_idx = order_prefix[i]
-    earlier = [t.maximal_cells[j] for j in order_prefix[:i]]
-    new = []
-    for entry in face_data[cell_idx]:
-        if not any(c.contains_polyhedron(entry[0]) for c in earlier):
-            new.append(entry)
-    if not new:
-        return None
-    minimal = [a for a in new if not any(b is not a and b[1] <= a[1] for b in new)]
-    if len(minimal) != 1:
-        return None
-    return minimal[0]
+def _minimal_new_face(cell_faces, order, i):
+    """The unique minimal face of cell order[i] whose poset entry lists no
+    earlier cell, or None."""
+    earlier = set(order[:i])
+    new = [(f, gens) for f, gens in cell_faces[order[i]] if not f.cells & earlier]
+    minimal = [f for f, gens in new if not any(other < gens for _, other in new)]
+    return minimal[0] if len(minimal) == 1 else None
 
 
 def verify_shelling(t: PolyhedralComplex, order):
     """Re-check the unique-minimal-new-face condition from scratch.
 
-    Returns the list of (cell index, G_i polyhedron, face descriptor) or
-    None when the order is not a shelling.
+    ``t`` must be a checked complex, as faces are read off its face poset
+    (see the module docstring).  Returns the list of (cell index, G_i
+    polyhedron, G_i poset entry) or None when the order is not a shelling.
     """
-    face_data = _cell_face_data(t)
     if sorted(order) != list(range(len(t.maximal_cells))):
         return None
+    cell_faces = _cell_faces(t)
     out = []
     for i in range(len(order)):
-        got = _new_face_check(t, face_data, order, i)
+        got = _minimal_new_face(cell_faces, order, i)
         if got is None:
             return None
-        out.append((order[i], got[0], got[2]))
+        out.append((order[i], got.polyhedron, got))
     return out
 
 
@@ -291,20 +294,15 @@ def find_shelling(t: PolyhedralComplex) -> ShellingData:
     SearchBudgetExceeded for complexes too large to backtrack over.
     """
     k = len(t.maximal_cells)
-    face_data = _cell_face_data(t)
+    cell_faces = _cell_faces(t)
 
     def package(order):
         checked = verify_shelling(t, order)
         if checked is None:
             return None
-        gs = [(ci, gp, desc) for ci, gp, desc in checked]
-        face_index = {}
-        for f in t.faces():
-            for pos, ci in enumerate(order):
-                if t.maximal_cells[ci].contains_polyhedron(f.polyhedron):
-                    face_index[f.key] = pos
-                    break
-        return ShellingData(order, gs, face_index)
+        pos = {ci: p for p, ci in enumerate(order)}
+        face_index = {f.key: min(pos[ci] for ci in f.cells) for f in t.faces()}
+        return ShellingData(order, checked, face_index)
 
     for order in _sweep_orders(t, tries=12):
         data = package(order)
@@ -326,7 +324,7 @@ def find_shelling(t: PolyhedralComplex) -> ShellingData:
             if used[c]:
                 continue
             order.append(c)
-            if _new_face_check(t, face_data, order, len(order) - 1) is not None:
+            if _minimal_new_face(cell_faces, order, len(order) - 1) is not None:
                 used[c] = True
                 if backtrack():
                     return True

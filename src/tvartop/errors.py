@@ -33,10 +33,6 @@ class NotShellable(TvartopError):
     pass
 
 
-class NotShellableSlice(NotShellable):
-    pass
-
-
 class NotInDualCone(TvartopError):
     pass
 

@@ -527,29 +527,19 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     return Polyhedron.from_points_rays(p.ambient_rank, points, rays)
 
 
-_intersect_cache = {}
-
-
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     """Exact intersection; the empty polyhedron when infeasible."""
     if p.ambient_rank != q.ambient_rank:
         raise RankMismatch("intersect over different ambient ranks")
     if p.is_empty or q.is_empty:
         return Polyhedron.empty(p.ambient_rank)
-    ck = (p.key, q.key) if p.key <= q.key else (q.key, p.key)
-    hit = _intersect_cache.get(ck)
-    if hit is not None:
-        return hit
+    if q.contains_polyhedron(p):
+        return p
     peq, pin = p.hrep()
     qeq, qin = q.hrep()
-    if q.contains_polyhedron(p):
-        out = p
-    else:
-        n = p.ambient_rank
-        out = Polyhedron._from_hcone(
-            n, *rays_of_hcone(list(pin) + list(qin), list(peq) + list(qeq), n + 1))
-    _intersect_cache[ck] = out
-    return out
+    n = p.ambient_rank
+    return Polyhedron._from_hcone(
+        n, *rays_of_hcone(list(pin) + list(qin), list(peq) + list(qeq), n + 1))
 
 
 def is_face_of(f: Polyhedron, p: Polyhedron) -> bool:

@@ -4,16 +4,15 @@ A benchmark run is ``correct`` when every request it makes either passes
 ``perfbench/oracles.py`` or fails with a defect named in ``KNOWN_DEFECTS``.
 This replays one quadric round, one session round and eight toric-stream
 fans (round 0 of two seeds) through ``cli.main`` as the benchmark's workers
-do, with their ``_execute``: ``TVARTOP_SEED=0``, the polyhedron caches
-cleared before each cold request, and each ``downgrade`` output written
-where the next requests read it.  The benchmark's modules are loaded by
-path and left unchanged.
+do, with their ``_execute``: ``TVARTOP_SEED=0``, and each ``downgrade``
+output written where the next requests read it.  The benchmark's modules
+are loaded by path and left unchanged.
 """
 
 import pytest
 
 from conftest import perfbench_module
-from tvartop import cli, polyhedron
+from tvartop import cli
 
 
 @pytest.mark.parametrize("workload,seed", [
@@ -32,8 +31,6 @@ def test_benchmark_outputs_are_correct(workload, seed, tmp_path, monkeypatch):
         argv = [req["cmd"], str(tmp_path / req["doc"])]
         if req["cmd"] != "downgrade":
             argv += ["--format", "json"]
-        if not w.warm:
-            polyhedron._intersect_cache.clear()
         code, stdout, stderr = worker._execute(cli, argv)
         if req["produces"]:
             target = tmp_path / req["produces"]

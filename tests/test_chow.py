@@ -27,6 +27,15 @@ def _row_strs(matrix):
     return [[str(x) for x in row] for row in matrix]
 
 
+def _generator_index(pres, kind, **fields):
+    for i, g in enumerate(pres.generators):
+        if g.kind != kind:
+            continue
+        if all(getattr(g, k) == v for k, v in fields.items()):
+            return i
+    raise KeyError(f"no {kind} generator with {fields}")
+
+
 # --- presentation -----------------------------------------------------------
 
 def test_presentation_p1p1(fix_p1p1):
@@ -197,11 +206,11 @@ def test_integer_elimination_matches_fraction_reference(name):
 
 def test_products_p1p1(fix_p1p1):
     pres = presentation(fix_p1p1)
-    a = pres.generator_index("horizontal", ray=(1,))
-    b = pres.generator_index("horizontal", ray=(-1,))
+    a = _generator_index(pres, "horizontal", ray=(1,))
+    b = _generator_index(pres, "horizontal", ray=(-1,))
     g1, g2 = pres.generic_points
-    t = pres.generator_index("vertical", point=g1)
-    t2 = pres.generator_index("vertical", point=g2)
+    t = _generator_index(pres, "vertical", point=g1)
+    t2 = _generator_index(pres, "vertical", point=g2)
     at, _ = product_in_quotient(pres, [[a], [t]])
     assert len(at) == 1 and all(v != 0 for v in at.values())
     assert product_in_quotient(pres, [[a], [b]])[0] == {}
@@ -210,24 +219,24 @@ def test_products_p1p1(fix_p1p1):
 
 def test_product_with_unit(fix_p1p1):
     pres = presentation(fix_p1p1)
-    a = pres.generator_index("horizontal", ray=(1,))
+    a = _generator_index(pres, "horizontal", ray=(1,))
     coords, _ = product_in_quotient(pres, [[a], []])
     assert coords == {(a,): F(1)}
 
 
 def test_product_f2_nonface(fix_f2):
     pres = presentation(fix_f2)
-    a = pres.generator_index("horizontal", ray=(1,))
-    b = pres.generator_index("horizontal", ray=(-1,))
+    a = _generator_index(pres, "horizontal", ray=(1,))
+    b = _generator_index(pres, "horizontal", ray=(-1,))
     assert product_in_quotient(pres, [[a], [b]])[0] == {}
 
 
 def test_product_bilinear_on_squares(fix_f2):
     # a*a reduces through the relations to the same class as a*(b+s)
     pres = presentation(fix_f2)
-    a = pres.generator_index("horizontal", ray=(1,))
-    b = pres.generator_index("horizontal", ray=(-1,))
-    s = pres.generator_index("vertical", vertex=(F(-1, 2),))
+    a = _generator_index(pres, "horizontal", ray=(1,))
+    b = _generator_index(pres, "horizontal", ray=(-1,))
+    s = _generator_index(pres, "vertical", vertex=(F(-1, 2),))
     aa, _ = product_in_quotient(pres, [[a], [a]])
     ab, _ = product_in_quotient(pres, [[a], [b]])
     as_, _ = product_in_quotient(pres, [[a], [s]])

@@ -129,7 +129,6 @@ def _recorded_inputs(monkeypatch, run):
 
 
 def _cli(*argv):
-    polyhedron._intersect_cache.clear()
     out = io.StringIO()
     cli.main(list(argv), out=out)
     return out.getvalue()

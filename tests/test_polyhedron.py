@@ -281,9 +281,7 @@ def _polyhedron_pairs(draw):
 def test_intersect_matches_canonical_rebuild_and_union_hrep(pair):
     p, q = pair
     n = p.ambient_rank
-    polyhedron._intersect_cache.clear()
     r = intersect(p, q)
-    polyhedron._intersect_cache.clear()
     assert intersect(q, p).key == r.key
     peq, pin = p.hrep()
     qeq, qin = q.hrep()

@@ -54,6 +54,8 @@ TRACED = [
     "divfan.validate.self_s", "cli.parse_fan_document.total_s",
     "complexes.PolyhedralComplex.calls", "complexes.PolyhedralComplex.total_s",
     "chow.hilbert_function.total_s", "chow.hilbert_function.self_s", "cli.main.total_s",
+    "complexes.find_shelling.total_s", "complexes.verify_shelling.calls",
+    "polyhedron.Polyhedron.faces.calls", "chow.is_shellable_divfan.total_s",
 ]
 COVERAGE = ("wall_s", "overhead_s", "uncovered_s", "ok")
 
